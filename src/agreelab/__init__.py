@@ -18,11 +18,8 @@ from .sim import (
     SignalSpec,
     Trajectory,
     integrate,
-    integrate_stochastic,
     run_ensemble,
     settling_time,
-    disagreement_norm,
-    drift_slope,
 )
 
 __version__ = "0.1.0"

@@ -2,35 +2,18 @@
 
 The integrators reduce an LTI step to an affine state update
 ``x <- phi x + g_k (+ noise)``, so the inner loop is a dense
-matrix-vector product repeated for every grid step.  Both a numba
-``@njit`` version and a pure-numpy version of each kernel are always
-defined; the active backend is numba when importable unless the
-environment variable ``AGREELAB_NUMBA`` is set to ``"0"``.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+matrix-vector product repeated for every grid step.  The kernels are
+plain numpy; ``sim`` looks them up here at call time.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "HAVE_NUMBA",
-    "backend",
-    "affine_path",
-    "affine_path_noise",
-    "affine_path_numpy",
-    "affine_path_noise_numpy",
-]
+__all__ = ["affine_path", "affine_path_noise"]
 
 
-def _numba_enabled() -> bool:
-    return os.environ.get("AGREELAB_NUMBA", "1") != "0"
-
-
-def affine_path_numpy(phi, g, x0, limit):
+def affine_path(phi, g, x0, limit):
     """States of x_{k+1} = phi x_k + g_k at all nodes.
 
     Returns (states (nsteps+1, n), blow_index); blow_index is -1 unless
@@ -50,7 +33,7 @@ def affine_path_numpy(phi, g, x0, limit):
     return out, -1
 
 
-def affine_path_noise_numpy(phi, g, bn, w, x0, limit):
+def affine_path_noise(phi, g, bn, w, x0, limit):
     """Same update with an additive per-step noise term bn @ w_k."""
     nsteps = g.shape[0]
     n = x0.shape[0]
@@ -63,58 +46,3 @@ def affine_path_noise_numpy(phi, g, bn, w, x0, limit):
         if not np.all(np.abs(x) < limit):
             return out, k + 1
     return out, -1
-
-
-HAVE_NUMBA = False
-affine_path_numba = None
-affine_path_noise_numba = None
-
-try:  # pragma: no cover - import capability varies by environment
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def affine_path_numba(phi, g, x0, limit):
-        nsteps = g.shape[0]
-        n = x0.shape[0]
-        out = np.empty((nsteps + 1, n))
-        x = x0.copy()
-        out[0] = x
-        for k in range(nsteps):
-            x = np.dot(phi, x) + g[k]
-            out[k + 1] = x
-            for i in range(n):
-                if not (abs(x[i]) < limit):
-                    return out, k + 1
-        return out, -1
-
-    @njit(cache=True)
-    def affine_path_noise_numba(phi, g, bn, w, x0, limit):
-        nsteps = g.shape[0]
-        n = x0.shape[0]
-        out = np.empty((nsteps + 1, n))
-        x = x0.copy()
-        out[0] = x
-        for k in range(nsteps):
-            x = np.dot(phi, x) + g[k] + np.dot(bn, w[k])
-            out[k + 1] = x
-            for i in range(n):
-                if not (abs(x[i]) < limit):
-                    return out, k + 1
-        return out, -1
-
-
-_USE_NUMBA = HAVE_NUMBA and _numba_enabled()
-
-affine_path = affine_path_numba if _USE_NUMBA else affine_path_numpy
-affine_path_noise = affine_path_noise_numba if _USE_NUMBA else affine_path_noise_numpy
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if _USE_NUMBA else "numpy"

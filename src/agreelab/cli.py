@@ -21,15 +21,8 @@ from .design import design_filter, feasible, h2_drift, mode_denominator
 from .graph import is_connected, modal_transform, read_graph
 from .numerics import routh_hurwitz_stable
 from .protocol import check_agreement, check_cancellation, modal_analysis
-from .scenarios import SCENARIOS, run_scenario
-from .sim import (
-    SignalSpec,
-    SimulationDiverged,
-    ensemble_member,
-    integrate,
-    run_ensemble,
-    settling_time,
-)
+from .scenarios import SCENARIOS, _run_noisy, run_scenario
+from .sim import SimulationDiverged, ensemble_member, integrate, settling_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,6 +49,13 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _realizations(text: str) -> int:
+    """--realizations takes a positive integer, as config.sim.realizations does."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _fmt(v: float) -> str:
@@ -107,24 +107,16 @@ def _simulate_config(cfg: ExperimentConfig, out_dir: Path, seed: int, realizatio
     loop = cfg.build_loop()
     metrics: dict = {"seed": seed}
     if cfg.has_noise:
-        zero = [SignalSpec.zero()] * cfg.graph.n
-        twin = integrate(loop, cfg.signals_d, zero, cfg.y0, cfg.dt, cfg.horizon)
-        ref = float(np.mean(twin.outputs[-1]))
-        proj = modal_transform(cfg.graph).U[0]
-        if realizations >= 30:
-            stats = run_ensemble(
-                loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
-                seed=seed, realizations=realizations, projection=proj,
-            )
-            metrics["drift_slope"] = stats.drift_slope()
-        else:
-            metrics["drift_slope"] = None
-        trajs = [
+        # the drift slope needs the whole ensemble, the metrics only member 0,
+        # and members 1.. are integrated just for their CSVs (R <= 10)
+        stats, ref = _run_noisy(cfg, loop, seed, realizations if realizations >= 30 else 1)
+        metrics["drift_slope"] = stats.drift_slope() if realizations >= 30 else None
+        trajs = [stats.sample] + [
             ensemble_member(
                 loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
                 seed, r,
             )
-            for r in range(min(realizations, 10))
+            for r in range(1, realizations if realizations <= 10 else 1)
         ]
         primary = trajs[0]
     else:
@@ -238,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", default="out")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--realizations", type=int, default=None)
+    p.add_argument("--realizations", type=_realizations, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("design", help="network-filter synthesis")
@@ -249,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", choices=SCENARIOS)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--realizations", type=int, default=None)
+    p.add_argument("--realizations", type=_realizations, default=None)
     p.set_defaults(func=cmd_reproduce)
     return parser
 

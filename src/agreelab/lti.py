@@ -37,10 +37,6 @@ __all__ = [
     "tf_is_hurwitz",
     "h2_norm_sq",
     "ss_block_diag",
-    "ss_series",
-    "ss_sum",
-    "ss_output_transform",
-    "ss_input_transform",
 ]
 
 HURWITZ_MARGIN = 1e-9
@@ -283,49 +279,6 @@ def ss_block_diag(systems: Sequence[StateSpace]) -> StateSpace:
         j += s.ninputs
         k += s.noutputs
     return StateSpace(A, B, C, D)
-
-
-def ss_series(first: StateSpace, second: StateSpace) -> StateSpace:
-    """Cascade: input -> first -> second -> output."""
-    if second.ninputs != first.noutputs:
-        raise ValueError("series dimension mismatch")
-    n1, n2 = first.nstates, second.nstates
-    A = np.zeros((n1 + n2, n1 + n2))
-    A[:n1, :n1] = first.A
-    A[n1:, n1:] = second.A
-    A[n1:, :n1] = second.B @ first.C
-    B = np.vstack([first.B, second.B @ first.D])
-    C = np.hstack([second.D @ first.C, second.C])
-    D = second.D @ first.D
-    return StateSpace(A, B, C, D)
-
-
-def ss_sum(s1: StateSpace, s2: StateSpace) -> StateSpace:
-    """Shared input, outputs added."""
-    if s1.ninputs != s2.ninputs or s1.noutputs != s2.noutputs:
-        raise ValueError("sum dimension mismatch")
-    n1, n2 = s1.nstates, s2.nstates
-    A = np.zeros((n1 + n2, n1 + n2))
-    A[:n1, :n1] = s1.A
-    A[n1:, n1:] = s2.A
-    B = np.vstack([s1.B, s2.B])
-    C = np.hstack([s1.C, s2.C])
-    D = s1.D + s2.D
-    return StateSpace(A, B, C, D)
-
-
-def ss_output_transform(s: StateSpace, T: np.ndarray) -> StateSpace:
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    if T.shape[1] != s.noutputs:
-        raise ValueError("output transform dimension mismatch")
-    return StateSpace(s.A, s.B, T @ s.C, T @ s.D)
-
-
-def ss_input_transform(s: StateSpace, T: np.ndarray) -> StateSpace:
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    if T.shape[0] != s.ninputs:
-        raise ValueError("input transform dimension mismatch")
-    return StateSpace(s.A, s.B @ T, s.C, s.D @ T)
 
 
 def h2_norm_sq(g: RationalTF | StateSpace) -> float:

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "Polynomial",
     "poly_mul",
-    "poly_add",
     "poly_sub",
     "poly_roots",
     "routh_hurwitz_stable",
@@ -151,10 +150,6 @@ class Polynomial:
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Exact coefficient convolution; degree(ab) = degree(a) + degree(b)."""
     return a * b
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a + b
 
 
 def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -20,13 +20,13 @@ import numpy as np
 from .config import ExperimentConfig
 from .graph import modal_transform
 from .protocol import classic_noise_disagreement_variance
-from .sim import Trajectory, integrate, integrate_stochastic, run_ensemble, settling_time
+from .sim import EnsembleStats, SignalSpec, Trajectory, integrate, run_ensemble, settling_time
 
 __all__ = ["SCENARIOS", "load_scenario", "run_scenario"]
 
 SCENARIOS = ("nominal", "noise", "dist", "dist-pi")
 
-# fraction of the onset-to-horizon span used for late-window slope fits
+# late window, in seconds, of the ramp-slope fit in the disturbance scenarios
 _RAMP_WINDOW = (40.0, 60.0)
 
 
@@ -43,20 +43,20 @@ def load_scenario(name: str) -> dict[str, ExperimentConfig]:
     }
 
 
-def _agreement_projection(cfg: ExperimentConfig) -> np.ndarray:
-    return modal_transform(cfg.graph).U[0]
-
-
-def _nominal_consensus(cfg: ExperimentConfig) -> float:
-    """Consensus value of the noise-free twin run."""
-    loop = cfg.build_loop()
-    from .sim import SignalSpec
-
-    traj = integrate(
-        loop, cfg.signals_d, [SignalSpec.zero()] * cfg.graph.n, cfg.y0,
-        cfg.dt, cfg.horizon,
+def _run_noisy(
+    cfg: ExperimentConfig, loop, seed: int, realizations: int
+) -> tuple[EnsembleStats, float]:
+    """Every run of a noisy configuration: the ensemble of its
+    agreement-mode projection, with member 0 as the sample path, and the
+    final consensus of its noise-free twin."""
+    zero = [SignalSpec.zero()] * cfg.graph.n
+    twin = integrate(loop, cfg.signals_d, zero, cfg.y0, cfg.dt, cfg.horizon)
+    reference = float(np.mean(twin.outputs[-1]))
+    stats = run_ensemble(
+        loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
+        seed=seed, realizations=realizations, projection=modal_transform(cfg.graph).U[0],
     )
-    return float(np.mean(traj.outputs[-1]))
+    return stats, reference
 
 
 def _mean_output_slope(traj: Trajectory, window: tuple[float, float]) -> float:
@@ -99,12 +99,7 @@ def run_scenario(
         metrics[f"{proto}_seed"] = use_seed
         if cfg.has_noise:
             R = cfg.realizations if realizations is None else realizations
-            proj = _agreement_projection(cfg)
-            stats = run_ensemble(
-                loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
-                seed=use_seed, realizations=R, projection=proj,
-            )
-            ref = _nominal_consensus(cfg)
+            stats, ref = _run_noisy(cfg, loop, use_seed, R)
             norms = np.linalg.norm(stats.finals - ref, axis=1)
             metrics[f"{proto}_drift_slope"] = (
                 stats.drift_slope() if R >= 30 else None
@@ -114,11 +109,7 @@ def run_scenario(
                 np.median(norms)
             )
             metrics[f"{proto}_realizations"] = R
-            sample = integrate_stochastic(
-                loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
-                seed=use_seed,
-            )
-            trajectories[proto] = sample
+            trajectories[proto] = stats.sample
         else:
             traj = integrate(
                 loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon

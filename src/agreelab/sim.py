@@ -31,11 +31,8 @@ __all__ = [
     "EnsembleStats",
     "SimulationDiverged",
     "integrate",
-    "integrate_stochastic",
     "run_ensemble",
     "settling_time",
-    "disagreement_norm",
-    "drift_slope",
     "rk4_transition",
 ]
 
@@ -255,6 +252,7 @@ class _Prepared:
         return states @ self.C.T + self.u_nodes @ self.Dmat.T
 
     def run(self, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Outputs at every node; the noise channels stay off without rng."""
         if rng is not None and self.n_noise > 0:
             w = self.draw_increments(rng)
             states, blow = _kernels.affine_path_noise(
@@ -267,6 +265,11 @@ class _Prepared:
         if blow >= 0:
             raise SimulationDiverged(blow * self.dt)
         return self.outputs_from_states(states)
+
+    def run_member(self, master_seed: int, realization: int) -> np.ndarray:
+        """Outputs of ensemble member `realization` of `master_seed`."""
+        seq = member_seed(master_seed, realization)
+        return self.run(np.random.Generator(np.random.Philox(seq)))
 
 
 def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
@@ -289,27 +292,16 @@ def ensemble_member(
     loop, d, n, y0, dt: float, T: float, master_seed: int, realization: int
 ) -> Trajectory:
     """The exact trajectory that realization `realization` contributes
-    to run_ensemble(master_seed, ...)."""
+    to run_ensemble(master_seed, ...).  Bit-reproducible for a fixed
+    (master_seed, realization, dt, T)."""
     prep = _Prepared(loop, d, n, y0, dt, T)
-    rng = np.random.Generator(np.random.Philox(member_seed(master_seed, realization)))
-    y = prep.run(rng if prep.n_noise else None)
-    return Trajectory(times=prep.times, outputs=y, dt=dt)
-
-
-def integrate_stochastic(loop, d, n, y0, dt: float, T: float, seed: int) -> Trajectory:
-    """Euler-Maruyama noise increments over the RK4 deterministic map.
-
-    Bit-reproducible for a fixed (seed, dt, T) triple.
-    """
-    prep = _Prepared(loop, d, n, y0, dt, T)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    y = prep.run(rng if prep.n_noise else None)
-    return Trajectory(times=prep.times, outputs=y, dt=dt)
+    return Trajectory(times=prep.times, outputs=prep.run_member(master_seed, realization), dt=dt)
 
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Streaming ensemble statistics of one scalar output projection."""
+    """Streaming ensemble statistics of one scalar output projection,
+    with member 0's trajectory as `sample`."""
 
     times: np.ndarray
     count: int
@@ -318,25 +310,22 @@ class EnsembleStats:
     variance: np.ndarray
     finals: np.ndarray
     master_seed: int
+    sample: Trajectory
 
     def drift_slope(self, window: tuple[float, float] | None = None) -> float:
+        """Least-squares slope of the variance over [T/2, T] unless a
+        window is given; at least 30 realizations are required."""
         if self.count < 30:
             raise ValueError("drift slope requires at least 30 realizations")
-        return _variance_slope(self.times, self.variance, window)
-
-
-def _variance_slope(times, variance, window) -> float:
-    T = times[-1]
-    if window is None:
-        window = (T / 2.0, T)
-    lo, hi = window
-    mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
-    t = times[mask]
-    v = variance[mask]
-    if t.size < 2:
-        raise ValueError("drift window contains fewer than two samples")
-    tbar = t.mean()
-    return float(np.dot(t - tbar, v - v.mean()) / np.dot(t - tbar, t - tbar))
+        T = self.times[-1]
+        lo, hi = (T / 2.0, T) if window is None else window
+        mask = (self.times >= lo - 1e-12) & (self.times <= hi + 1e-12)
+        t = self.times[mask]
+        v = self.variance[mask]
+        if t.size < 2:
+            raise ValueError("drift window contains fewer than two samples")
+        tbar = t.mean()
+        return float(np.dot(t - tbar, v - v.mean()) / np.dot(t - tbar, t - tbar))
 
 
 def run_ensemble(
@@ -345,9 +334,10 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Monte-Carlo ensemble of stochastic runs.
 
-    Per-realization streams are derived from the master seed by a
-    counter-based split, so the merged statistics do not depend on
-    evaluation order.
+    Member r is driven by the stream member_seed(seed, r), so the merged
+    statistics do not depend on evaluation order.  The variance is a
+    Welford (1962) update of each member's deviation from member 0, so a
+    mean much larger than the spread does not cancel.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -356,30 +346,30 @@ def run_ensemble(
     if projection.size != loop.nagents:
         raise ValueError("projection length must equal the agent count")
     npts = prep.nsteps + 1
-    s1 = np.zeros(npts)
-    s2 = np.zeros(npts)
+    mean = np.zeros(npts)  # running mean of z - z0
+    m2 = np.zeros(npts)
     finals = np.empty((realizations, loop.nagents))
     for r in range(realizations):
-        rng = np.random.Generator(np.random.Philox(member_seed(seed, r)))
-        y = prep.run(rng if prep.n_noise else None)
+        y = prep.run_member(seed, r)
         z = y @ projection
-        s1 += z
-        s2 += z * z
+        if r == 0:
+            sample = Trajectory(times=prep.times, outputs=y, dt=dt)
+            z0 = z
+        x = z - z0
+        delta = x - mean
+        mean += delta / (r + 1)
+        m2 += delta * (x - mean)
         finals[r] = y[-1]
-    mean = s1 / realizations
-    if realizations > 1:
-        variance = (s2 - realizations * mean * mean) / (realizations - 1)
-        variance = np.maximum(variance, 0.0)
-    else:
-        variance = np.zeros(npts)
+    variance = m2 / max(realizations - 1, 1)  # m2 is zero for one member
     return EnsembleStats(
         times=prep.times,
         count=realizations,
         projection=projection,
-        mean=mean,
+        mean=z0 + mean,
         variance=variance,
         finals=finals,
         master_seed=int(seed),
+        sample=sample,
     )
 
 
@@ -397,32 +387,3 @@ def settling_time(traj: Trajectory, band: float = 0.02) -> float:
     if k >= traj.times.size:
         raise RuntimeError("unsettled: trajectory never enters the band")
     return float(traj.times[k])
-
-
-def disagreement_norm(traj: Trajectory, t: float, reference: float) -> float:
-    """Euclidean distance of y(t) from reference * ones."""
-    k = traj.index_at(t)
-    return float(np.linalg.norm(traj.outputs[k] - reference))
-
-
-def drift_slope(
-    ensemble: Sequence[Trajectory] | EnsembleStats,
-    projection: np.ndarray,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Least-squares slope of the ensemble variance of a projection.
-
-    The fit runs over [T/2, T] unless a window is given; at least 30
-    realizations are required.
-    """
-    if isinstance(ensemble, EnsembleStats):
-        if ensemble.count < 30:
-            raise ValueError("drift slope requires at least 30 realizations")
-        return _variance_slope(ensemble.times, ensemble.variance, window)
-    trajs = list(ensemble)
-    if len(trajs) < 30:
-        raise ValueError("drift slope requires at least 30 realizations")
-    projection = np.asarray(projection, dtype=float).reshape(-1)
-    z = np.stack([t.outputs @ projection for t in trajs])
-    variance = z.var(axis=0, ddof=1)
-    return _variance_slope(trajs[0].times, variance, window)

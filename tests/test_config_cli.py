@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from agreelab import _kernels
 from agreelab.cli import main
 from agreelab.config import ConfigError, ExperimentConfig
 from agreelab.graph import Graph, write_graph
-from agreelab.sim import Trajectory
+from agreelab.scenarios import load_scenario, run_scenario
+from agreelab.sim import Trajectory, ensemble_member
 
 DART_EDGES = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4]]
 
@@ -41,6 +43,27 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def noisy_config(T=8.0):
+    cfg = base_config("classic")
+    cfg["signals"]["n"] = {"kind": "white_noise", "intensity": 0.05, "onset": 1.0}
+    cfg["sim"]["T"] = T
+    return cfg
+
+
+def count_kernel_calls(monkeypatch) -> list[str]:
+    """Names of the stepping kernels called from now on, in call order."""
+    calls = []
+    for name in ("affine_path", "affine_path_noise"):
+        kernel = getattr(_kernels, name)
+
+        def counted(*args, kernel=kernel, name=name):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    return calls
 
 
 class TestConfigParsing:
@@ -213,10 +236,7 @@ class TestSimulateCommand:
         assert main(["simulate", path, "--out", str(tmp_path / "x")]) == 1
 
     def test_realization_flag_and_noise_metrics(self, tmp_path):
-        cfg = base_config("classic")
-        cfg["signals"]["n"] = {"kind": "white_noise", "intensity": 0.05, "onset": 1.0}
-        cfg["sim"]["T"] = 8.0
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, noisy_config())
         out_dir = tmp_path / "noisy"
         assert main(["simulate", path, "--out", str(out_dir), "--realizations", "30"]) == 0
         metrics = json.loads((out_dir / "metrics.json").read_text())
@@ -225,6 +245,38 @@ class TestSimulateCommand:
         # only up to 10 trajectory files written
         written = sorted(out_dir.glob("trajectory_r*.csv"))
         assert len(written) == 0
+
+    def test_ensemble_integrates_each_path_once(self, tmp_path, monkeypatch):
+        # 30 members, member 0 among them, plus the noise-free twin
+        path = write_config(tmp_path, noisy_config(T=2.0))
+        calls = count_kernel_calls(monkeypatch)
+        assert main(["simulate", path, "--out", str(tmp_path / "o"), "--realizations", "30"]) == 0
+        assert calls.count("affine_path_noise") == 30
+        assert calls.count("affine_path") == 1
+
+    def test_trajectory_files_are_ensemble_members(self, tmp_path):
+        cfg = noisy_config(T=2.0)
+        path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "members"
+        assert main(["simulate", path, "--out", str(out_dir), "--realizations", "3", "--seed", "4"]) == 0
+        loaded = ExperimentConfig.from_dict(cfg)
+        loop = loaded.build_loop()
+        for r in range(3):
+            member = ensemble_member(
+                loop, loaded.signals_d, loaded.signals_n, loaded.y0, loaded.dt, loaded.horizon, 4, r
+            )
+            traj = Trajectory.read_csv(out_dir / f"trajectory_r{r:03d}.csv")
+            assert np.array_equal(traj.outputs, member.outputs)
+        assert not (out_dir / "trajectory_r003.csv").exists()
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_zero_realizations_is_config_error(self, tmp_path, capsys, noisy):
+        cfg = noisy_config() if noisy else base_config()
+        path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "zero"
+        assert main(["simulate", path, "--out", str(out_dir), "--realizations", "0"]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (out_dir / "metrics.json").exists()
 
 
 class TestDesignCommand:
@@ -271,6 +323,25 @@ class TestReproduceCommand:
 
     def test_unknown_scenario(self):
         assert main(["reproduce", "warp"]) == 1
+
+    def test_zero_realizations_is_config_error(self, tmp_path, capsys):
+        assert main(["reproduce", "nominal", "--out", str(tmp_path / "r"), "--realizations", "0"]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_noise_runs_twin_and_member_zero_only(self, tmp_path, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        run_scenario("noise", tmp_path / "noise", realizations=1)
+        assert sorted(calls) == ["affine_path", "affine_path", "affine_path_noise", "affine_path_noise"]
+
+    def test_noise_sample_csv_is_member_zero(self, tmp_path):
+        out_dir = tmp_path / "noise"
+        assert main(["reproduce", "noise", "--out", str(out_dir), "--realizations", "1", "--seed", "8"]) == 0
+        for proto, cfg in load_scenario("noise").items():
+            member = ensemble_member(
+                cfg.build_loop(), cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon, 8, 0
+            )
+            traj = Trajectory.read_csv(out_dir / f"noise_{proto}.csv")
+            assert np.array_equal(traj.outputs, member.outputs)
 
 
 def test_cli_usage_error_is_config_exit():

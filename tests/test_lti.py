@@ -7,9 +7,6 @@ from agreelab.lti import (
     StateSpace,
     h2_norm_sq,
     ss_block_diag,
-    ss_output_transform,
-    ss_series,
-    ss_sum,
     tf_cancel,
     tf_feedback,
     tf_inverse,
@@ -283,33 +280,3 @@ class TestStateSpaceOps:
         assert np.allclose(ss.A, np.zeros((2, 2)))
         assert np.allclose(ss.B, np.eye(2))
         assert np.allclose(ss.C, np.eye(2))
-
-    def test_output_transform_permutation(self):
-        ss = ss_block_diag([tf_to_ss(INTEGRATOR)] * 2)
-        P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = ss_output_transform(ss, P)
-        assert np.allclose(out.C, P)
-        assert np.allclose(out.D, np.zeros((2, 2)))
-
-    def test_series_equals_tf_series(self):
-        g1 = tf([1.0, 0.3], [2.0, 1.2, 1.0])
-        g2 = tf([0.7], [1.0, 1.0])
-        direct = tf_to_ss(tf_series(g1, g2))
-        composed = ss_series(tf_to_ss(g1), tf_to_ss(g2))
-        rng = np.random.default_rng(3)
-        for w in rng.uniform(0.1, 10.0, 8):
-            s = 1j * w
-            assert abs(direct.eval(s)[0, 0] - composed.eval(s)[0, 0]) <= 1e-8
-
-    def test_sum_matches_parallel(self):
-        g1 = tf([1.0], [1.0, 1.0])
-        g2 = tf([2.0], [3.0, 1.0])
-        added = ss_sum(tf_to_ss(g1), tf_to_ss(g2))
-        expect = tf_parallel(g1, g2)
-        for w in (0.3, 1.7, 9.1):
-            s = 1j * w
-            assert added.eval(s)[0, 0] == pytest.approx(expect(s))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            ss_series(tf_to_ss(INTEGRATOR), ss_block_diag([tf_to_ss(INTEGRATOR)] * 2))

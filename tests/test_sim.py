@@ -1,10 +1,6 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from agreelab import _kernels
 from agreelab.graph import Graph
 from agreelab.lti import RationalTF, StateSpace
 from agreelab.protocol import AgentModel, ClassicConfig, ClosedLoop, build_classic
@@ -12,11 +8,8 @@ from agreelab.sim import (
     SignalSpec,
     SimulationDiverged,
     Trajectory,
-    disagreement_norm,
-    drift_slope,
     ensemble_member,
     integrate,
-    integrate_stochastic,
     rk4_transition,
     run_ensemble,
     settling_time,
@@ -113,15 +106,18 @@ class TestStochasticIntegration:
     def test_bitwise_determinism(self):
         loop = consensus_loop()
         spec = [SignalSpec.white_noise(0.1, onset=1.0)] * 5
-        a = integrate_stochastic(loop, ZERO, spec, [1, 0, 0, 0, -1.0], 1e-3, 5.0, seed=42)
-        b = integrate_stochastic(loop, ZERO, spec, [1, 0, 0, 0, -1.0], 1e-3, 5.0, seed=42)
+        a = ensemble_member(loop, ZERO, spec, [1, 0, 0, 0, -1.0], 1e-3, 5.0, 42, 3)
+        b = ensemble_member(loop, ZERO, spec, [1, 0, 0, 0, -1.0], 1e-3, 5.0, 42, 3)
         assert np.array_equal(a.outputs, b.outputs)
 
     def test_different_seed_differs(self):
         loop = scalar_loop(-1.0)
-        a = integrate_stochastic(loop, ZERO, SignalSpec.white_noise(1.0), [0.0], 1e-2, 2.0, seed=1)
-        b = integrate_stochastic(loop, ZERO, SignalSpec.white_noise(1.0), [0.0], 1e-2, 2.0, seed=2)
+        spec = SignalSpec.white_noise(1.0)
+        a = ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 2.0, 1, 0)
+        b = ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 2.0, 2, 0)
+        c = ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 2.0, 1, 1)
         assert not np.array_equal(a.outputs, b.outputs)
+        assert not np.array_equal(a.outputs, c.outputs)
 
     def test_ou_stationary_variance(self):
         # xdot = -x + white noise of intensity sigma^2: Var -> sigma^2/2
@@ -136,8 +132,8 @@ class TestStochasticIntegration:
 
     def test_onset_gating(self):
         loop = scalar_loop(0.0)
-        traj = integrate_stochastic(
-            loop, ZERO, SignalSpec.white_noise(1.0, onset=2.0), [0.0], 1e-2, 4.0, seed=3
+        traj = ensemble_member(
+            loop, ZERO, SignalSpec.white_noise(1.0, onset=2.0), [0.0], 1e-2, 4.0, 3, 0
         )
         before = traj.outputs[traj.times <= 2.0]
         assert np.max(np.abs(before)) == 0.0
@@ -154,6 +150,16 @@ class TestStochasticIntegration:
         z = np.stack([m.outputs[:, 0] for m in members])
         assert np.allclose(z.var(axis=0, ddof=1), stats.variance, atol=1e-12)
         assert np.allclose(z[:, -1], stats.finals[:, 0])
+        assert np.array_equal(stats.sample.outputs, members[0].outputs)
+
+    def test_variance_stable_when_mean_dominates(self):
+        # a mean of 1e8 against a spread of ~1e-3 cancels s2 - R mean^2
+        loop = scalar_loop(0.0)
+        spec = SignalSpec.white_noise(1e-6)
+        R = 40
+        stats = run_ensemble(loop, ZERO, spec, [1e8], 1e-2, 2.0, seed=0, realizations=R, projection=[1.0])
+        z = np.stack([ensemble_member(loop, ZERO, spec, [1e8], 1e-2, 2.0, 0, r).outputs[:, 0] for r in range(R)])
+        assert stats.variance[-1] == pytest.approx(z[:, -1].var(ddof=1), rel=1e-9)
 
 
 class TestMetrics:
@@ -175,35 +181,35 @@ class TestMetrics:
         with pytest.raises(RuntimeError, match="unsettled"):
             settling_time(traj)
 
-    def test_disagreement_norm(self):
-        t = np.arange(3) * 1.0
-        y = np.tile([2.0, 2.0, 2.0], (3, 1))
-        traj = Trajectory(times=t, outputs=y, dt=1.0)
-        assert disagreement_norm(traj, 2.0, 2.0) == 0.0
-        y2 = y.copy()
-        y2[2, 0] += 1.0
-        traj2 = Trajectory(times=t, outputs=y2, dt=1.0)
-        assert disagreement_norm(traj2, 2.0, 2.0) == pytest.approx(1.0)
-
-    def test_disagreement_norm_off_grid(self):
+    def test_index_at_off_grid(self):
         t = np.arange(3) * 1.0
         traj = Trajectory(times=t, outputs=np.zeros((3, 2)), dt=1.0)
+        assert traj.index_at(2.0) == 2
         with pytest.raises(ValueError, match="grid"):
-            disagreement_norm(traj, 0.5, 0.0)
+            traj.index_at(0.5)
+        with pytest.raises(ValueError, match="grid"):
+            traj.index_at(3.0)
 
     def test_drift_slope_requires_30(self):
-        t = np.arange(5) * 1.0
-        trajs = [Trajectory(times=t, outputs=np.zeros((5, 1)), dt=1.0)] * 5
+        loop = scalar_loop(0.0)
+        stats = run_ensemble(
+            loop, ZERO, SignalSpec.white_noise(1.0), [0.0], 1e-2, 1.0,
+            seed=0, realizations=29, projection=[1.0],
+        )
         with pytest.raises(ValueError, match="30"):
-            drift_slope(trajs, [1.0])
+            stats.drift_slope()
 
     def test_drift_slope_list_matches_stats(self):
+        # the slope of the members' two-pass variance over [T/2, T]
         loop = scalar_loop(0.0)
         spec = SignalSpec.white_noise(1.0)
         R = 60
         stats = run_ensemble(loop, ZERO, spec, [0.0], 1e-2, 10.0, seed=2, realizations=R, projection=[1.0])
         members = [ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 10.0, 2, r) for r in range(R)]
-        assert drift_slope(members, [1.0]) == pytest.approx(stats.drift_slope(), rel=1e-9)
+        variance = np.stack([m.outputs[:, 0] for m in members]).var(axis=0, ddof=1)
+        late = stats.times >= 5.0 - 1e-12
+        slope = np.polyfit(stats.times[late], variance[late], 1)[0]
+        assert slope == pytest.approx(stats.drift_slope(), rel=1e-9)
 
 
 class TestAgreementLimit:
@@ -244,44 +250,3 @@ class TestKernelBackends:
         from scipy.linalg import expm
 
         assert np.allclose(phi, expm(A * dt), atol=1e-14)
-
-    def test_numpy_and_numba_paths_agree(self):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(12)
-        n, steps = 7, 500
-        phi = np.eye(n) + rng.normal(size=(n, n)) * 1e-3
-        g = rng.normal(size=(steps, n)) * 1e-2
-        x0 = rng.normal(size=n)
-        out_np, blow_np = _kernels.affine_path_numpy(phi, g, x0, 1e9)
-        out_nb, blow_nb = _kernels.affine_path_numba(phi, g, x0, 1e9)
-        assert blow_np == blow_nb == -1
-        assert np.allclose(out_np, out_nb, atol=1e-12)
-        bn = rng.normal(size=(n, 2))
-        w = rng.normal(size=(steps, 2)) * 0.1
-        noisy_np, _ = _kernels.affine_path_noise_numpy(phi, g, bn, w, x0, 1e9)
-        noisy_nb, _ = _kernels.affine_path_noise_numba(phi, g, bn, w, x0, 1e9)
-        assert np.allclose(noisy_np, noisy_nb, atol=1e-12)
-
-    def test_blow_index_agreement(self):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        phi = np.array([[1.5]])
-        g = np.zeros((100, 1))
-        x0 = np.array([1.0])
-        _, k_np = _kernels.affine_path_numpy(phi, g, x0, 1e3)
-        _, k_nb = _kernels.affine_path_numba(phi, g, x0, 1e3)
-        assert k_np == k_nb > 0
-
-    def test_env_flag_selects_numpy_backend(self):
-        code = (
-            "import os; os.environ['AGREELAB_NUMBA'] = '0'; "
-            "from agreelab import _kernels; print(_kernels.backend())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_backend_reports_a_valid_name(self):
-        assert _kernels.backend() in ("numba", "numpy")
