@@ -9,10 +9,17 @@ whose mode denominators 1 - alpha Fa expand to the cubic
     tau s^3 + (2 zeta wn tau + 1) s^2 + (tau wn^2 + 2 zeta wn) s
         + wn^2 (1 - alpha).
 
-Only the constant term depends on alpha and it decreases in alpha, so
-feasibility over alpha in [-1, 1) reduces to the Routh-Hurwitz test at
-alpha = -1 plus the marginal factorization at alpha = 1 (one root at
-the origin, remaining quadratic Hurwitz).
+For alpha < 1 every coefficient is positive, so by Hurwitz's cubic
+condition the mode is stable iff
+
+    (2 zeta wn tau + 1)(tau wn^2 + 2 zeta wn) > tau wn^2 (1 - alpha).
+
+Only the right side depends on alpha, and it decreases in alpha, so
+feasibility over a set of modes is this one inequality at the smallest
+alpha below 1 (alpha = -1 for the whole interval [-1, 1)).  The alpha = 1
+mode has a root at the origin and a quadratic factor with positive
+coefficients, Hurwitz for every valid parameter triple, so it never
+constrains the design.
 
 The drift objective is the squared H2 norm of s T1(s) Fa(s), a strictly
 proper second-order system, in closed form
@@ -32,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .lti import RationalTF
-from .numerics import Polynomial, poly_mul, routh_hurwitz_stable
+from .numerics import Polynomial, poly_mul
 
 __all__ = [
     "FilterParams",
@@ -86,37 +93,31 @@ def mode_denominator(p: FilterParams, alpha: float) -> Polynomial:
     )
 
 
-def _marginal_mode_ok(p: FilterParams) -> bool:
-    """alpha = 1: the cubic must factor as s times a Hurwitz quadratic."""
-    wn, tau, zeta = p.as_tuple()
-    quad = Polynomial([tau * wn * wn + 2.0 * zeta * wn, 2.0 * zeta * wn * tau + 1.0, tau])
-    return routh_hurwitz_stable(quad)
-
-
 def feasible(p: FilterParams, alphas: Sequence[float] | None = None) -> bool:
-    """Stability of every network mode.
+    """Stability of every network mode with alpha below 1 - 1e-9.
 
-    With explicit alphas, each alpha < 1 is Routh-Hurwitz tested and any
-    alpha at 1 invokes the marginal check.  Without alphas the whole
-    interval [-1, 1) is certified through the worst case alpha = -1
-    (the cubic's constant term is decreasing in alpha, the other
-    coefficients are alpha-independent), plus the marginal check.
+    Alphas at or above that bound are not tested: the alpha = 1 mode is
+    marginally stable for every parameter triple (module docstring).
+
+    Without alphas the whole interval [-1, 1) is certified through its
+    worst case alpha = -1.
     """
-    if not _marginal_mode_ok(p):
-        return False
     if alphas is None:
-        return routh_hurwitz_stable(mode_denominator(p, -1.0))
-    for alpha in np.asarray(alphas, dtype=float):
-        if alpha < 1.0 - 1e-9:
-            if not routh_hurwitz_stable(mode_denominator(p, alpha)):
-                return False
-    return True
+        alpha = -1.0
+    else:
+        below = np.asarray(alphas, dtype=float)
+        below = below[below < 1.0 - 1e-9]
+        if below.size == 0:
+            return True
+        alpha = float(below.min())
+    wn, tau, zeta = p.as_tuple()
+    a2 = 2.0 * zeta * wn * tau + 1.0
+    a1 = tau * wn * wn + 2.0 * zeta * wn
+    return a2 * a1 > tau * (wn * wn * (1.0 - alpha))
 
 
 def h2_drift(p: FilterParams) -> float:
     """Squared H2 norm of s T1(s) Fa(s) in closed form."""
-    if not _marginal_mode_ok(p):
-        raise ValueError("drift objective undefined: marginal mode factor not Hurwitz")
     wn, tau, zeta = p.as_tuple()
     return wn**3 / ((2.0 * wn * tau + 4.0 * zeta) * (2.0 * wn * tau * zeta + 1.0))
 

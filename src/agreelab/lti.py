@@ -34,7 +34,6 @@ __all__ = [
     "tf_cancel",
     "tf_poles",
     "tf_zeros",
-    "tf_is_hurwitz",
     "h2_norm_sq",
     "ss_block_diag",
 ]
@@ -67,10 +66,6 @@ class RationalTF:
     @property
     def is_strictly_proper(self) -> bool:
         return self.num.is_zero or self.num.degree < self.den.degree
-
-    @property
-    def relative_degree(self) -> int:
-        return self.den.degree - self.num.degree
 
     def __call__(self, s: complex) -> complex:
         return self.num(s) / self.den(s)
@@ -175,11 +170,6 @@ def tf_zeros(g: RationalTF, tol: float = 1e-7) -> np.ndarray:
     if gc.num.is_zero or gc.num.degree < 1:
         return np.zeros(0, dtype=complex)
     return poly_roots(gc.num)
-
-
-def tf_is_hurwitz(g: RationalTF) -> bool:
-    poles = tf_poles(g)
-    return bool(np.all(poles.real < -HURWITZ_MARGIN)) if poles.size else True
 
 
 @dataclass(frozen=True)

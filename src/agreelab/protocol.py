@@ -16,6 +16,11 @@ y_i = P_i (u_i + d_i) + (initial-condition response):
 Loops are assembled at the agent level; the modal closed form
 U^{-1} diag(T_i) U with T_i = 1/(1 - alpha_i Fa) is exposed through
 :func:`modal_analysis` for analysis and cross-checks.
+
+The classic loop's steady-state disagreement variance has a closed form
+over the Laplacian spectrum (Bamieh, Jovanovic, Mitra and Patterson,
+"Coherence in large-scale networks", IEEE TAC 2012); see
+:func:`classic_noise_disagreement_variance`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import numpy as np
 
 from .graph import (
     Graph,
-    ModalData,
     degrees,
     is_connected,
     laplacian,
@@ -47,7 +51,7 @@ from .lti import (
     tf_to_ss,
     tf_zeros,
 )
-from .numerics import lyapunov_solve, poly_roots, poly_sub
+from .numerics import poly_roots, poly_sub
 
 __all__ = [
     "AgentModel",
@@ -129,9 +133,6 @@ class ClosedLoop:
     def noise_transfer(self, s: complex) -> np.ndarray:
         return self.dynamics.eval(s)[:, self.nagents :]
 
-    def disturbance_transfer(self, s: complex) -> np.ndarray:
-        return self.dynamics.eval(s)[:, : self.nagents]
-
 
 @dataclass(frozen=True)
 class ModalAnalysis:
@@ -141,8 +142,6 @@ class ModalAnalysis:
     mode_transfers: list
     local_sensitivities: list
     disturbance_transfers: list
-    agreement_poles: np.ndarray
-    modal: ModalData
 
 
 @dataclass(frozen=True)
@@ -352,13 +351,6 @@ def mode_transfer(fa: RationalTF, alpha: float) -> RationalTF:
     return RationalTF(fa.den, den)
 
 
-def _imaginary_axis_poles(tf: RationalTF) -> np.ndarray:
-    poles = tf_poles(tf)
-    if poles.size == 0:
-        return poles
-    return poles[np.abs(poles.real) <= HURWITZ_MARGIN]
-
-
 def _cluster_poles(poles: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     clusters: list[list[complex]] = []
     for p in poles:
@@ -426,15 +418,11 @@ def modal_analysis(
     locals_ = [_local_loop(a, i) for i, a in enumerate(agents, start=1)]
     for i, a in enumerate(agents, start=1):
         _feedforward(a, fa, i)
-    t1 = mode_tfs[0]
-    agreement_poles = _imaginary_axis_poles(t1)
     return ModalAnalysis(
         alphas=md.alphas,
         mode_transfers=mode_tfs,
         local_sensitivities=[s for s, _ in locals_],
         disturbance_transfers=[td for _, td in locals_],
-        agreement_poles=agreement_poles,
-        modal=md,
     )
 
 
@@ -479,23 +467,23 @@ def classic_noise_disagreement_variance(
     model "per-link" takes unit-intensity link noises aggregated by
     1/|N_i| (so n has covariance D^{-1}); "per-agent" takes
     unit-intensity white noise directly on each aggregated channel.
+
+    The value is the trace of the Lyapunov solution on the disagreement
+    subspace, divided by nu.  With L = sum_i lambda_i v_i v_i' and the
+    noise weight W = D (per-link) or D^2 (per-agent) it is
+
+        (k / 2 nu) sum_{i >= 2} v_i' W v_i / lambda_i.
     """
     d = degrees(g)
-    nu = g.n
-    A = -gain * laplacian(g)
     if model == "per-link":
-        B = gain * np.diag(np.sqrt(d))
+        weight = d
     elif model == "per-agent":
-        B = gain * np.diag(d)
+        weight = d * d
     else:
         raise ValueError(f"unknown noise model {model!r}")
-    # deterministic orthonormal basis of the disagreement subspace
-    basis = np.zeros((nu, nu))
-    basis[:, 0] = 1.0 / np.sqrt(nu)
-    basis[: nu - 1, 1:] = np.eye(nu - 1)
-    q, _ = np.linalg.qr(basis)
-    Qp = q[:, 1:]
-    Ared = Qp.T @ A @ Qp
-    Qred = Qp.T @ (B @ B.T) @ Qp
-    X = lyapunov_solve(Ared, Qred)
-    return float(np.trace(X)) / nu
+    if not is_connected(g):
+        raise ValueError("disagreement variance requires a connected graph")
+    if not gain > 0.0:
+        raise ValueError("consensus gain must be positive")
+    lam, v = np.linalg.eigh(laplacian(g))
+    return gain / (2.0 * g.n) * float(np.sum(weight @ v[:, 1:] ** 2 / lam[1:]))

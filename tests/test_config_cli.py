@@ -299,6 +299,25 @@ class TestDesignCommand:
         )
         assert main(["design", path]) == 3
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"bounds": {"omega_n": [0.5, 5.0], "tau": [0.5, 10.0]}},
+            {"bounds": {"omega_n": [5.0, 0.5], "tau": [0.5, 10.0], "zeta": [0.5, 4.0]}},
+            {"bounds": [[0.5, 5.0], [0.5, 10.0]]},
+            {"bounds": {"omega_n": [0.5, 5.0], "tau": 5, "zeta": [0.5, 4.0]}},
+            {"bounds": {"omega_n": [0.5, 5.0], "tau": [0.5, 10.0], "zeta": [0.5, 4.0]},
+             "alphas": 5},
+        ],
+        ids=["missing-zeta", "lo-above-hi", "two-pairs", "scalar-tau", "scalar-alphas"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg):
+        path = write_config(tmp_path, cfg, "design.json")
+        assert main(["design", path]) == 1
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert captured.out == ""
+
     def test_graph_spectrum_bounds(self, tmp_path, capsys):
         cfg = {
             "bounds": {"omega_n": [0.5, 5.0], "tau": [0.5, 10.0], "zeta": [0.5, 4.0]},

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agreelab.design import (
     FilterParams,
@@ -134,6 +136,46 @@ class TestFeasible:
             p = FilterParams(*rng.uniform(0.2, 5.0, 3))
             if feasible(p):
                 assert feasible(p, grid)
+
+
+def routh_feasible(p: FilterParams, alphas) -> bool:
+    """Oracle: the full Routh table at every mode below 1 - 1e-9, plus the
+    quadratic left at alpha = 1 once the root at the origin is divided out."""
+    wn, tau, zeta = p.as_tuple()
+    quad = Polynomial([tau * wn * wn + 2.0 * zeta * wn, 2.0 * zeta * wn * tau + 1.0, tau])
+    if not routh_hurwitz_stable(quad):
+        return False
+    alphas = [-1.0] if alphas is None else alphas
+    return all(routh_hurwitz_stable(mode_denominator(p, a)) for a in alphas if a < 1.0 - 1e-9)
+
+
+log_uniform = st.floats(-4.0, 3.0).map(lambda e: 10.0**e)
+
+
+class TestFeasibleOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        wn=log_uniform,
+        tau=log_uniform,
+        zeta=log_uniform,
+        alphas=st.none() | st.lists(st.floats(-3.0, 1.2), max_size=6),
+    )
+    def test_inequality_equals_routh(self, wn, tau, zeta, alphas):
+        p = FilterParams(wn, tau, zeta)
+        assert feasible(p, alphas) == routh_feasible(p, alphas)
+
+    def test_both_outcomes_sampled(self):
+        # the inequality and the table agree on both sides of the boundary
+        rng = np.random.default_rng(17)
+        seen = {True: 0, False: 0}
+        for i in range(3000):
+            p = FilterParams(*(10.0 ** rng.uniform(-4.0, 3.0, 3)))
+            alphas = rng.uniform(-3.0, 1.2, int(rng.integers(0, 6))).tolist()
+            alphas = None if i % 3 == 0 else alphas
+            verdict = feasible(p, alphas)
+            assert verdict == routh_feasible(p, alphas)
+            seen[verdict] += 1
+        assert min(seen.values()) > 100
 
 
 class TestH2Drift:

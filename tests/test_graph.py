@@ -207,6 +207,17 @@ class TestSpectrumSearch:
         with pytest.raises(ValueError):
             find_graphs_by_spectrum(9, [0.0] * 9, 1e-9)
 
+    def test_eight_nodes_rejected_before_enumerating(self, monkeypatch):
+        import agreelab.graph as graph_module
+
+        def enumerated(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(graph_module, "_mask_connected", enumerated)
+        monkeypatch.setattr(graph_module, "_spectrum", enumerated)
+        with pytest.raises(ValueError, match="n = 7"):
+            find_graphs_by_spectrum(8, [0.0] * 8, 1e-9)
+
 
 class TestGraphText:
     def test_format(self):
