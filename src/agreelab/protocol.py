@@ -136,10 +136,9 @@ class ClosedLoop:
 
 @dataclass(frozen=True)
 class ModalAnalysis:
-    """Per-mode network transfers and per-agent local-loop transfers."""
+    """Network modes and per-agent local-loop transfers."""
 
     alphas: np.ndarray
-    mode_transfers: list
     local_sensitivities: list
     disturbance_transfers: list
 
@@ -414,13 +413,11 @@ def modal_analysis(
     _validate_network(g, agents)
     fa = cfg.network_filter
     md = modal_transform(g)
-    mode_tfs = [mode_transfer(fa, a) for a in md.alphas]
     locals_ = [_local_loop(a, i) for i, a in enumerate(agents, start=1)]
     for i, a in enumerate(agents, start=1):
         _feedforward(a, fa, i)
     return ModalAnalysis(
         alphas=md.alphas,
-        mode_transfers=mode_tfs,
         local_sensitivities=[s for s, _ in locals_],
         disturbance_transfers=[td for _, td in locals_],
     )

@@ -16,7 +16,7 @@ on top of the fourth-order deterministic update.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -115,31 +115,25 @@ class Trajectory:
         return k
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"y{i + 1}" for i in range(self.nagents)])
-            for k in range(self.times.size):
-                writer.writerow(
-                    [f"{self.times[k]:.17g}"]
-                    + [f"{v:.17g}" for v in self.outputs[k]]
-                )
+        header = ",".join(["t"] + [f"y{i + 1}" for i in range(self.nagents)])
+        with Path(path).open("w", newline="") as fh:
+            np.savetxt(
+                fh, np.column_stack([self.times, self.outputs]), fmt="%.17g",
+                delimiter=",", newline="\r\n", header=header, comments="",
+            )
 
     @staticmethod
     def read_csv(path: str | Path) -> "Trajectory":
-        path = Path(path)
-        with path.open() as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[0] != "t":
+        with Path(path).open() as fh:
+            if fh.readline().split(",")[0].strip() != "t":
                 raise ValueError("trajectory CSV must start with a 't' column")
-            rows = [[float(v) for v in row] for row in reader if row]
-        data = np.asarray(rows)
+            with warnings.catch_warnings():  # a header-only file fails below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if data.shape[0] < 2:
             raise ValueError("trajectory CSV needs at least two grid points")
         times = data[:, 0]
-        dt = times[1] - times[0]
-        return Trajectory(times=times, outputs=data[:, 1:], dt=float(dt))
+        return Trajectory(times=times, outputs=data[:, 1:], dt=float(times[1] - times[0]))
 
 
 def rk4_transition(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -169,26 +163,21 @@ def _onset_index(onset: float, dt: float, nsteps: int) -> int:
     return min(max(k, 0), nsteps)
 
 
-def _deterministic_tables(
-    specs: Sequence[SignalSpec], dt: float, nsteps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interval constants and node samples for zero/step channels."""
-    m = len(specs)
-    u_const = np.zeros((nsteps, m))
-    u_nodes = np.zeros((nsteps + 1, m))
+def _step_table(specs: Sequence[SignalSpec], dt: float, nsteps: int) -> np.ndarray:
+    """Input samples at every node, step channels only; row k also holds
+    the constant input over the interval that starts at node k."""
+    u = np.zeros((nsteps + 1, len(specs)))
     for c, s in enumerate(specs):
         if s.kind == "step":
-            k0 = _onset_index(s.onset, dt, nsteps)
-            u_const[k0:, c] = s.amplitude
-            u_nodes[k0:, c] = s.amplitude
-    return u_const, u_nodes
+            u[_onset_index(s.onset, dt, nsteps):, c] = s.amplitude
+    return u
 
 
 class _Prepared:
     """Precomputed integration tables shared across ensemble members."""
 
     __slots__ = (
-        "phi", "g", "x0", "C", "Dmat", "u_nodes", "bn", "noise_scale",
+        "phi", "gb", "x0", "C", "Dmat", "u", "bn", "noise_scale",
         "noise_gate", "dt", "nsteps", "times",
     )
 
@@ -213,19 +202,15 @@ class _Prepared:
         white = np.array([s.is_stochastic for s in specs], dtype=bool)
         if np.any(np.abs(sys.D[:, white]) > 0.0):
             raise ValueError("white-noise channel with direct feedthrough is not simulable")
-        det_specs = [s if not s.is_stochastic else SignalSpec.zero() for s in specs]
-        u_const, u_nodes = _deterministic_tables(det_specs, dt, nsteps)
-        phi, gamma = rk4_transition(sys.A, dt)
-        gb = gamma @ sys.B
-        self.phi = phi
-        self.g = u_const @ gb.T
+        self.phi, gamma = rk4_transition(sys.A, dt)
+        self.gb = gamma @ sys.B
         y0 = np.asarray(y0, dtype=float).reshape(-1)
         if y0.size != nu:
             raise ValueError(f"y0 needs {nu} entries")
         self.x0 = loop.x0_map @ y0
         self.C = sys.C
         self.Dmat = sys.D
-        self.u_nodes = u_nodes
+        self.u = _step_table(specs, dt, nsteps)
         self.bn = sys.B[:, white]
         scale = np.array([np.sqrt(s.intensity * dt) for s in specs if s.is_stochastic])
         self.noise_scale = scale
@@ -249,22 +234,19 @@ class _Prepared:
         return w
 
     def outputs_from_states(self, states: np.ndarray) -> np.ndarray:
-        return states @ self.C.T + self.u_nodes @ self.Dmat.T
+        return states @ self.C.T + self.u @ self.Dmat.T
 
     def run(self, rng: np.random.Generator | None = None) -> np.ndarray:
         """Outputs at every node; the noise channels stay off without rng."""
+        out = np.empty((self.nsteps + 1, self.phi.shape[0]))
+        out[0] = self.x0
+        np.matmul(self.u[:-1], self.gb.T, out=out[1:])
         if rng is not None and self.n_noise > 0:
-            w = self.draw_increments(rng)
-            states, blow = _kernels.affine_path_noise(
-                self.phi, self.g, self.bn, w, self.x0, DIVERGENCE_LIMIT
-            )
-        else:
-            states, blow = _kernels.affine_path(
-                self.phi, self.g, self.x0, DIVERGENCE_LIMIT
-            )
+            out[1:] += self.draw_increments(rng) @ self.bn.T
+        blow = _kernels.affine_path(self.phi, out, DIVERGENCE_LIMIT)
         if blow >= 0:
             raise SimulationDiverged(blow * self.dt)
-        return self.outputs_from_states(states)
+        return self.outputs_from_states(out)
 
     def run_member(self, master_seed: int, realization: int) -> np.ndarray:
         """Outputs of ensemble member `realization` of `master_seed`."""
@@ -274,11 +256,9 @@ class _Prepared:
 
 def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
     """Deterministic RK4 run; white-noise specs are rejected."""
-    nu = loop.nagents
-    for s in _as_spec_list(d, nu, "disturbance") + _as_spec_list(n, nu, "noise"):
-        if s.is_stochastic:
-            raise ValueError("integrate handles deterministic signals only")
     prep = _Prepared(loop, d, n, y0, dt, T)
+    if prep.n_noise > 0:
+        raise ValueError("integrate handles deterministic signals only")
     y = prep.run()
     return Trajectory(times=prep.times, outputs=y, dt=dt)
 

@@ -207,13 +207,57 @@ class TestSpectrumSearch:
         with pytest.raises(ValueError):
             find_graphs_by_spectrum(9, [0.0] * 9, 1e-9)
 
+    def test_matches_dfs_filtered_enumeration(self):
+        # every distinct spectrum of a graph without isolated nodes at
+        # n <= 5, connected or not, against a search that keeps only the
+        # graphs a depth-first search reaches in full
+        def connected(n, edges):
+            seen, stack = {0}, [0]
+            while stack:
+                v = stack.pop()
+                for i, j in edges:
+                    for a, b in ((i, j), (j, i)):
+                        if a == v and b not in seen:
+                            seen.add(b)
+                            stack.append(b)
+            return len(seen) == n
+
+        def canonical(n, edges):
+            return min(
+                tuple(sorted(tuple(sorted((p[i], p[j]))) for i, j in edges))
+                for p in itertools.permutations(range(n))
+            )
+
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs = []
+            for mask in range(1 << len(pairs)):
+                edges = [pr for b, pr in enumerate(pairs) if mask >> b & 1]
+                if len({v for e in edges for v in e}) < n:
+                    continue
+                adjn = normalized_adjacency(Graph(n, [(i + 1, j + 1) for i, j in edges]))
+                spec = np.sort(np.linalg.eigvals(adjn).real)
+                graphs.append((spec, connected(n, edges), canonical(n, edges)))
+            targets = {tuple(np.round(spec, 9)): spec for spec, _, _ in graphs}
+            for spec in targets.values():
+                expected = {
+                    c for sp, conn, c in graphs
+                    if conn and np.max(np.abs(sp - spec)) <= 1e-9
+                }
+                found = find_graphs_by_spectrum(n, spec, 1e-9)
+                got = [canonical(n, [(i - 1, j - 1) for i, j in g.edges]) for g in found]
+                assert len(got) == len(set(got))
+                assert set(got) == expected, (n, spec)
+
+    def test_two_disjoint_edges_match_nothing(self):
+        assert find_graphs_by_spectrum(4, [1.0, 1.0, -1.0, -1.0], 1e-9) == []
+
     def test_eight_nodes_rejected_before_enumerating(self, monkeypatch):
         import agreelab.graph as graph_module
 
         def enumerated(*args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(graph_module, "_mask_connected", enumerated)
         monkeypatch.setattr(graph_module, "_spectrum", enumerated)
         with pytest.raises(ValueError, match="n = 7"):
             find_graphs_by_spectrum(8, [0.0] * 8, 1e-9)

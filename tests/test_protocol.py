@@ -188,7 +188,7 @@ class TestModalAnalysis:
 
     def test_agreement_mode_denominator(self):
         analysis = modal_analysis(DART, integrator_agents(5, FD0), TwoDofConfig(FA))
-        t1 = analysis.mode_transfers[0]
+        t1 = mode_transfer(FA, analysis.alphas[0])
         assert t1.den.approx_equal(Polynomial([0.0, 57.0 / 5, 61.0 / 5, 1.0]))
 
     def test_dart_negative_half_mode(self):

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from agreelab.sim import (
     Trajectory,
     ensemble_member,
     integrate,
+    member_seed,
     rk4_transition,
     run_ensemble,
     settling_time,
@@ -240,6 +244,43 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="'t' column"):
             Trajectory.read_csv(path)
 
+    def test_bytes_match_csv_writer(self, tmp_path):
+        outputs = np.array([
+            [-0.0, 5e-324, 1e300],
+            [0.1 + 0.2, 1.0 / 3.0, -2.0 ** -1074],
+            [np.nextafter(1.0, 2.0), -1e-300, 123456789.12345679],
+        ])
+        traj = Trajectory(times=np.array([0.0, 0.1, 0.2]), outputs=outputs, dt=0.1)
+        ref = tmp_path / "ref.csv"
+        with ref.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "y1", "y2", "y3"])
+            for t, row in zip(traj.times, outputs):
+                writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == ref.read_bytes()
+        back = Trajectory.read_csv(path)
+        assert np.array_equal(back.outputs, outputs)
+        assert np.signbit(back.outputs[0, 0])
+
+    def test_read_accepts_lf_and_trailing_blank_line(self, tmp_path):
+        path = tmp_path / "lf.csv"
+        path.write_bytes(b"t,y1,y2\n0,1,-2\n0.5,3,4.25\n\n")
+        back = Trajectory.read_csv(path)
+        assert np.array_equal(back.times, [0.0, 0.5])
+        assert np.array_equal(back.outputs, [[1.0, -2.0], [3.0, 4.25]])
+        assert back.dt == 0.5
+
+    @pytest.mark.parametrize("body", ["t,y1\r\n", "t,y1\r\n0,1\r\n"], ids=["header-only", "one-row"])
+    def test_too_few_rows_rejected_without_warning(self, tmp_path, body):
+        path = tmp_path / "short.csv"
+        path.write_bytes(body.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least two grid points"):
+                Trajectory.read_csv(path)
+
 
 class TestKernelBackends:
     def test_rk4_transition_matches_expm_series(self):
@@ -250,3 +291,45 @@ class TestKernelBackends:
         from scipy.linalg import expm
 
         assert np.allclose(phi, expm(A * dt), atol=1e-14)
+
+    def test_path_matches_reference_recurrence(self):
+        # random stable 8-state loop with a step disturbance and gated
+        # white noise, against x_{k+1} = phi x_k + g_k + bn w_k stepped here
+        rng = np.random.default_rng(11)
+        nstates, nagents, dt, T, seed, member = 8, 2, 1e-2, 3.0, 5, 3
+        A = rng.normal(size=(nstates, nstates))
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(nstates)
+        B = rng.normal(size=(nstates, 2 * nagents))
+        C = rng.normal(size=(nagents, nstates))
+        D = np.hstack([rng.normal(size=(nagents, nagents)), np.zeros((nagents, nagents))])
+        x0_map = rng.normal(size=(nstates, nagents))
+        loop = ClosedLoop(StateSpace(A, B, C, D), x0_map=x0_map, nagents=nagents)
+        d = [SignalSpec.step(0.7, onset=0.5), SignalSpec.step(-1.2, onset=1.0)]
+        n = [SignalSpec.white_noise(0.3, onset=0.2), SignalSpec.white_noise(0.05)]
+        y0 = np.array([1.0, -0.5])
+        got = ensemble_member(loop, d, n, y0, dt, T, seed, member).outputs
+
+        nsteps = int(round(T / dt))
+        phi, gamma = rk4_transition(A, dt)
+        u = np.zeros((nsteps + 1, nagents))
+        u[50:, 0], u[100:, 1] = 0.7, -1.2
+        draws = np.random.Generator(np.random.Philox(member_seed(seed, member)))
+        w = draws.standard_normal((nsteps, nagents)) * np.sqrt(np.array([0.3, 0.05]) * dt)
+        w[:20, 0] = 0.0
+        x = x0_map @ y0
+        ref = [C @ x + D[:, :nagents] @ u[0]]
+        for k in range(nsteps):
+            x = phi @ x + gamma @ B[:, :nagents] @ u[k] + B[:, nagents:] @ w[k]
+            ref.append(C @ x + D[:, :nagents] @ u[k + 1])
+        ref = np.array(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_divergence_index_closed_form(self):
+        # x_k = phi^k x0 for the scalar loop; the first k with |x_k| >= 1e9
+        a, dt, x0 = 5.0, 1e-3, 0.3
+        phi = rk4_transition(np.array([[a]]), dt)[0][0, 0]
+        steps = np.log(1e9 / x0) / np.log(phi)
+        assert 1e-6 < steps % 1.0 < 1.0 - 1e-6  # away from a rounding tie
+        with pytest.raises(SimulationDiverged) as err:
+            integrate(scalar_loop(a), ZERO, ZERO, [x0], dt, 10.0)
+        assert err.value.time == np.ceil(steps) * dt
