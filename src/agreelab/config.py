@@ -9,6 +9,7 @@ rejected everywhere so that typos fail loudly, and parse -> serialize
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -44,6 +45,8 @@ def _require_keys(obj: dict, path: str, required: set, optional: set = frozenset
 def _number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(path, "expected a number")
+    if not abs(obj) <= sys.float_info.max:  # NaN, +-Infinity, ints past float range
+        raise ConfigError(path, "expected a finite number")
     return float(obj)
 
 

@@ -29,6 +29,17 @@ proper second-order system, in closed form
 The closed form matches the Lyapunov-based norm of the realized system
 to machine precision (see the test suite, which cross-validates both
 against a frequency-domain quadrature oracle).
+
+Exact design.  The drift increases in wn and decreases in tau and zeta.
+Divided by wn, the inequality reads, with p = wn tau,
+
+    q(p) = 2 zeta p^2 + (4 zeta^2 + alpha) p + 2 zeta > 0,
+
+and q increases in zeta.  So zeta = zeta_hi, and the corner (wn_lo,
+tau_hi, zeta_hi) is optimal when feasible.  Otherwise q <= 0 on a band
+c1 <= p <= c2 with c1 c2 = 1, and the optimum is the better of p = c1 at
+wn = wn_lo and p = c2 at tau = tau_hi.  The box is infeasible iff
+[wn_lo tau_lo, wn_hi tau_hi] lies inside [c1, c2].
 """
 
 from __future__ import annotations
@@ -44,7 +55,6 @@ from .numerics import Polynomial, poly_mul
 __all__ = [
     "FilterParams",
     "make_filter",
-    "mode_denominator",
     "feasible",
     "h2_drift",
     "design_filter",
@@ -80,19 +90,6 @@ def make_filter(p: FilterParams) -> RationalTF:
     return RationalTF(Polynomial([wn * wn]), den)
 
 
-def mode_denominator(p: FilterParams, alpha: float) -> Polynomial:
-    """Characteristic cubic of the network mode at eigenvalue alpha."""
-    wn, tau, zeta = p.as_tuple()
-    return Polynomial(
-        [
-            wn * wn * (1.0 - alpha),
-            tau * wn * wn + 2.0 * zeta * wn,
-            2.0 * zeta * wn * tau + 1.0,
-            tau,
-        ]
-    )
-
-
 def feasible(p: FilterParams, alphas: Sequence[float] | None = None) -> bool:
     """Stability of every network mode with alpha below 1 - 1e-9.
 
@@ -122,113 +119,32 @@ def h2_drift(p: FilterParams) -> float:
     return wn**3 / ((2.0 * wn * tau + 4.0 * zeta) * (2.0 * wn * tau * zeta + 1.0))
 
 
-# -- constrained search --------------------------------------------------
-
-
-def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    if lo <= 0 or hi < lo:
+def design_filter(bounds: dict, alphas: Sequence[float] | None = None) -> FilterParams:
+    """Feasible minimizer of the drift objective in the box bounds
+    ({"omega_n": [lo, hi], "tau": ..., "zeta": ...}), by the exact rule
+    of the module docstring.  alphas = None certifies all of [-1, 1)."""
+    try:
+        box = [tuple(map(float, bounds[k])) for k in ("omega_n", "tau", "zeta")]
+    except KeyError as e:
+        raise ValueError(f"bounds missing key {e.args[0]!r}") from None
+    if not all(0.0 < lo <= hi for lo, hi in box):
         raise ValueError("bounds must be positive with lo <= hi")
-    if hi == lo:
-        return np.array([lo])
-    return np.geomspace(lo, hi, count)
-
-
-def _penalized(x: np.ndarray, bounds, alphas) -> float:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    if np.any(x < lo) or np.any(x > hi) or np.any(x <= 0):
-        return np.inf
-    p = FilterParams(*x)
-    if not feasible(p, alphas):
-        return np.inf
-    return h2_drift(p)
-
-
-def _nelder_mead(f, x0: np.ndarray, steps: np.ndarray, max_iter: int = 300) -> np.ndarray:
-    """Reflection-based simplex descent; deterministic, bound handling
-    is delegated to the penalized objective."""
-    dim = x0.size
-    live = np.nonzero(steps > 0)[0]
-    if live.size == 0:
-        return x0
-    pts = [x0.copy()]
-    for i in live:
-        q = x0.copy()
-        q[i] += steps[i]
-        pts.append(q)
-    simplex = np.array(pts)
-    values = np.array([f(q) for q in simplex])
-    for _ in range(max_iter):
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
-        spread = values[-1] - values[0]
-        if np.isfinite(spread) and spread <= 1e-12 * max(abs(values[0]), 1e-30):
-            break
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        refl = centroid + (centroid - worst)
-        f_refl = f(refl)
-        if f_refl < values[0]:
-            expand = centroid + 2.0 * (centroid - worst)
-            f_exp = f(expand)
-            if f_exp < f_refl:
-                simplex[-1], values[-1] = expand, f_exp
-            else:
-                simplex[-1], values[-1] = refl, f_refl
-        elif f_refl < values[-2]:
-            simplex[-1], values[-1] = refl, f_refl
-        else:
-            contract = centroid + 0.5 * (worst - centroid)
-            f_con = f(contract)
-            if f_con < values[-1]:
-                simplex[-1], values[-1] = contract, f_con
-            else:
-                for i in range(1, simplex.shape[0]):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-    order = np.argsort(values, kind="stable")
-    return simplex[order[0]]
-
-
-def design_filter(
-    bounds: dict | Sequence[tuple[float, float]],
-    alphas: Sequence[float] | None = None,
-    grid_points: int = 20,
-) -> FilterParams:
-    """Feasible minimizer of the drift objective within box bounds.
-
-    A log-spaced grid (>= grid_points per axis) is filtered through
-    `feasible`; the best grid point seeds a simplex refinement.  With
-    alphas = None the worst-case certificate over [-1, 1) is used.
-    Deterministic for fixed inputs; raises when no feasible point is
-    found on the grid.
-    """
-    if isinstance(bounds, dict):
-        try:
-            box = [tuple(map(float, bounds[k])) for k in ("omega_n", "tau", "zeta")]
-        except KeyError as e:
-            raise ValueError(f"bounds missing key {e.args[0]!r}") from None
-    else:
-        box = [tuple(map(float, b)) for b in bounds]
-        if len(box) != 3:
-            raise ValueError("bounds must give (omega_n, tau, zeta) intervals")
-    axes = [_log_grid(lo, hi, grid_points) for lo, hi in box]
-    best = None
-    for wn in axes[0]:
-        for tau in axes[1]:
-            for zeta in axes[2]:
-                p = FilterParams(wn, tau, zeta)
-                if not feasible(p, alphas):
-                    continue
-                val = h2_drift(p)
-                key = (val, wn, tau, zeta)
-                if best is None or key < best:
-                    best = key
-    if best is None:
+    (wn_lo, wn_hi), (tau_lo, tau_hi), (_, zeta) = box
+    corner = FilterParams(wn_lo, tau_hi, zeta)
+    if feasible(corner, alphas):
+        return corner
+    alpha = min([-1.0] if alphas is None else [a for a in alphas if a < 1.0 - 1e-9])
+    b = 4.0 * zeta * zeta + alpha
+    # b < 0 here.  Widen the band so that, at its edges, q exceeds 1e-13 of
+    # the magnitudes `feasible` compares, even where the band is narrow.
+    b -= 1e-13 * (1.0 - alpha - b)
+    c2 = (-b + np.sqrt(b * b - 16.0 * zeta * zeta)) / (4.0 * zeta)
+    c1 = 1.0 / c2  # the quadratic formula loses c1 to cancellation
+    candidates = [
+        FilterParams(wn_lo, np.clip(c1 / wn_lo, tau_lo, tau_hi), zeta),
+        FilterParams(np.clip(c2 / tau_hi, wn_lo, wn_hi), tau_hi, zeta),
+    ]
+    candidates = [p for p in candidates if feasible(p, alphas)]
+    if not candidates:
         raise ValueError("no feasible filter parameters inside the bounds")
-    x0 = np.array(best[1:])
-    steps = np.array([0.05 * (hi - lo) for lo, hi in box])
-    x = _nelder_mead(lambda q: _penalized(q, box, alphas), x0, steps)
-    if _penalized(x, box, alphas) <= best[0]:
-        return FilterParams(*x)
-    return FilterParams(*x0)
+    return min(candidates, key=h2_drift)

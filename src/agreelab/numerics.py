@@ -216,19 +216,22 @@ def routh_hurwitz_stable(p: Polynomial) -> bool:
     first_col = [row0[0], row1[0]]
     ok = True
     prev2, prev = row0, row1
+    scale = np.abs(row1)  # magnitude of the terms each entry of prev came from
     for _ in range(n - 2):
-        row_scale = max(np.max(np.abs(prev2)), np.max(np.abs(prev)), 1e-300)
         pivot = prev[0]
-        if abs(pivot) <= 1e-13 * row_scale:
-            if np.max(np.abs(prev)) <= 1e-13 * row_scale:
+        if abs(pivot) <= 1e-13 * scale[0]:
+            if np.all(np.abs(prev) <= 1e-13 * scale):
                 return False  # zero row: roots symmetric about the imaginary axis
             ok = False
-            pivot = 1e-30 * row_scale
+            pivot = 1e-30 * max(np.max(np.abs(prev2)), np.max(np.abs(prev)), 1e-300)
         new = np.zeros(width)
+        new_scale = np.zeros(width)
         for j in range(width - 1):
-            new[j] = (pivot * prev2[j + 1] - prev2[0] * prev[j + 1]) / pivot
+            a, b = pivot * prev2[j + 1], prev2[0] * prev[j + 1]
+            new[j] = (a - b) / pivot
+            new_scale[j] = (abs(a) + abs(b)) / abs(pivot)
         first_col.append(new[0])
-        prev2, prev = prev, new
+        prev2, prev, scale = prev, new, new_scale
     return ok and all(v > 0.0 for v in first_col)
 
 

@@ -152,15 +152,6 @@ class AgreementCertificate:
     failures: list
     alphas: np.ndarray
 
-    @property
-    def is_consensus(self) -> bool:
-        """True when the only agreement pole sits at the origin."""
-        return (
-            self.passed
-            and self.agreement_poles.size == 1
-            and abs(self.agreement_poles[0]) <= 1e-6
-        )
-
 
 @dataclass(frozen=True)
 class CancellationVerdict:

@@ -319,6 +319,32 @@ class TestDesignCommand:
         assert "config error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("simulate", "sim", "dt", float("nan")),
+            ("simulate", "sim", "T", float("inf")),
+            ("simulate", "sim", "y0", [float("nan"), 0.75, 0.0, -0.75, -1.5]),
+            ("design", None, "alphas", [float("nan"), -0.5]),
+            ("design", None, "alphas", [float("-inf")]),
+        ],
+        ids=["dt-nan", "T-inf", "y0-nan", "alphas-nan", "alphas-minus-inf"],
+    )
+    def test_nonfinite_number_is_config_error(self, tmp_path, capsys, command, section, key, value):
+        # json reads NaN and Infinity; they must not reach the numerics
+        if command == "simulate":
+            cfg = base_config()
+            args = ["--out", str(tmp_path / "run")]
+        else:
+            cfg = {"bounds": {"omega_n": [0.5, 5.0], "tau": [0.5, 10.0], "zeta": [0.5, 4.0]}}
+            args = []
+        (cfg[section] if section else cfg)[key] = value
+        path = write_config(tmp_path, cfg, f"{command}.json")
+        assert main([command, path, *args]) == 1
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert captured.out == ""
+
     def test_graph_spectrum_bounds(self, tmp_path, capsys):
         cfg = {
             "bounds": {"omega_n": [0.5, 5.0], "tau": [0.5, 10.0], "zeta": [0.5, 4.0]},

@@ -9,12 +9,24 @@ from agreelab.design import (
     feasible,
     h2_drift,
     make_filter,
-    mode_denominator,
 )
 from agreelab.lti import RationalTF, h2_norm_sq
 from agreelab.numerics import Polynomial, poly_roots, poly_sub, routh_hurwitz_stable
 
 P3_5_2 = FilterParams(3.0, 5.0, 2.0)
+
+
+def mode_denominator(p: FilterParams, alpha: float) -> Polynomial:
+    """Characteristic cubic of the network mode at eigenvalue alpha."""
+    wn, tau, zeta = p.as_tuple()
+    return Polynomial(
+        [
+            wn * wn * (1.0 - alpha),
+            tau * wn * wn + 2.0 * zeta * wn,
+            2.0 * zeta * wn * tau + 1.0,
+            tau,
+        ]
+    )
 
 
 def drift_tf(p: FilterParams) -> RationalTF:
@@ -226,3 +238,97 @@ class TestDesignFilter:
             alphas=[1.0, 0.2287, 0.0, -0.5, -0.7287],
         )
         assert feasible(got, [1.0, 0.2287, 0.0, -0.5, -0.7287])
+
+    def test_infeasible_corner_moves_to_band_edge(self):
+        # zeta_hi = 0.1 < 0.207: at alpha = -1 the corner's wn tau = 4 lies in
+        # the unstable band [c1, c2] = [1/c2, 4.58]; the optimum sits at
+        # wn tau = c2 with tau = tau_hi
+        got = design_filter({"omega_n": [0.5, 5.0], "tau": [0.5, 8.0], "zeta": [0.01, 0.1]})
+        b = 4.0 * 0.1**2 - 1.0
+        c2 = (-b + np.sqrt(b * b - 16.0 * 0.1**2)) / (4.0 * 0.1)
+        assert not feasible(FilterParams(0.5, 8.0, 0.1))
+        assert feasible(got)
+        assert (got.tau, got.zeta) == (8.0, 0.1)
+        assert got.omega_n == pytest.approx(c2 / 8.0, rel=1e-9)
+        assert got.omega_n == pytest.approx(0.5727178, rel=1e-7)
+        assert h2_drift(got) == pytest.approx(0.0102502, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "zeta_hi, tau_lo",
+        [(0.15, 0.1), (1e-6, 1e-6)],
+        ids=["both-edges-in-box", "small-damping"],
+    )
+    def test_lower_band_edge_at_lowest_omega(self, zeta_hi, tau_lo):
+        # the corner's wn tau = 1 lies in the band at alpha = -1; the point
+        # wn tau = c1 at wn = 1 beats wn tau = c2 at tau = 1, which at small
+        # damping also falls outside the box (c2 ~ 1 / (2 zeta) > 10); there
+        # the quadratic formula would lose c1 ~ 2 zeta to cancellation
+        box = {"omega_n": [1.0, 10.0], "tau": [tau_lo, 1.0], "zeta": [zeta_hi / 10.0, zeta_hi]}
+        got = design_filter(box)
+        b = 4.0 * zeta_hi**2 - 1.0
+        c1 = 4.0 * zeta_hi / (-b + np.sqrt(b * b - 16.0 * zeta_hi**2))
+        assert feasible(got)
+        assert (got.omega_n, got.zeta) == (1.0, zeta_hi)
+        assert got.tau == pytest.approx(c1, rel=1e-9)
+        upper = FilterParams(1.0 / c1, 1.0, zeta_hi)
+        assert h2_drift(got) < h2_drift(upper)
+
+    def test_narrow_band_edge_stays_feasible(self):
+        # zeta_hi just below (sqrt(2) - 1) / 2, where the band at alpha = -1
+        # closes on wn tau = 1: here it is 1 +- 1.7e-5, too narrow for a fixed
+        # relative step of 1e-12 off its edge to pass `feasible`
+        zeta_hi = (np.sqrt(2.0) - 1.0) / 2.0 * (1.0 - 1e-10)
+        got = design_filter({"omega_n": [1.0, 2.0], "tau": [0.5, 1.0], "zeta": [0.1, zeta_hi]})
+        assert feasible(got)
+        assert (got.omega_n, got.zeta) == (1.0, zeta_hi)
+        assert 1.0 - 2e-5 < got.tau < 1.0 - 1.6e-5
+
+
+AXES = ("omega_n", "tau", "zeta")
+
+
+def oracle_grid(box: dict, alphas, count: int = 40):
+    """Drift and feasibility on a log grid that includes the box corners,
+    from the Hurwitz inequality evaluated in one numpy pass."""
+    axes = []
+    for key in AXES:
+        lo, hi = box[key]
+        axis = np.geomspace(lo, hi, count)
+        axis[[0, -1]] = lo, hi
+        axes.append(axis)
+    wn, tau, zeta = np.meshgrid(*axes, indexing="ij", sparse=True)
+    below = [-1.0] if alphas is None else [a for a in alphas if a < 1.0 - 1e-9]
+    alpha = min(below, default=1.0)
+    ok = (2 * zeta * wn * tau + 1) * (tau * wn**2 + 2 * zeta * wn) > tau * wn**2 * (1 - alpha)
+    drift = wn**3 / ((2 * wn * tau + 4 * zeta) * (2 * wn * tau * zeta + 1))
+    return np.broadcast_to(drift, ok.shape)[ok]
+
+
+# log10 of the lower bound and of the box width; zeta_hi reaches well below
+# 0.207, where the corner can sit in the unstable band
+box_axis = st.tuples(st.floats(-2.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+zeta_axis = st.tuples(st.floats(-3.5, 0.5), st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+
+
+class TestDesignFilterOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        wn=box_axis,
+        tau=box_axis,
+        zeta=zeta_axis,
+        alphas=st.none() | st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+    )
+    def test_no_grid_point_beats_design(self, wn, tau, zeta, alphas):
+        box = {"omega_n": (10.0 ** wn[0], 10.0 ** sum(wn)), "tau": (10.0 ** tau[0], 10.0 ** sum(tau))}
+        box["zeta"] = (10.0 ** (zeta[0] - zeta[1]), 10.0 ** zeta[0])
+        drifts = oracle_grid(box, alphas)
+        try:
+            got = design_filter(box, alphas)
+        except ValueError:
+            assert drifts.size == 0
+            return
+        assert feasible(got, alphas)
+        for key, value in zip(AXES, got.as_tuple()):
+            assert box[key][0] <= value <= box[key][1]
+        if drifts.size:
+            assert h2_drift(got) <= drifts.min() * (1.0 + 1e-12)

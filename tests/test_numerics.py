@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,14 @@ class TestRouthHurwitz:
 
     def test_sign_normalized_leading(self):
         assert routh_hurwitz_stable(poly(-1.0, -1.0, -1.0))
+
+    def test_badly_scaled_stable_cubic(self):
+        # 0.01 s^3 + (1 + 2e-8) s^2 + 3e-6 s + 3e-4: the third-row pivot,
+        # about 6e-14, is small beside the unit s^2 coefficient but 2e-8 of
+        # the products it is formed from
+        a0, a1, a2, a3 = 3e-4, 3e-6, 1.0 + 2e-8, 0.01
+        assert Fraction(a2) * Fraction(a1) > Fraction(a3) * Fraction(a0)  # exact Hurwitz test
+        assert routh_hurwitz_stable(poly(a0, a1, a2, a3))
 
     def test_zero_row_imaginary_roots(self):
         # (s^2+1)(s+1) = s^3+s^2+s+1 has roots on the axis

@@ -205,7 +205,6 @@ class TestCheckAgreement:
         assert cert.passed
         assert cert.agreement_poles.size == 1
         assert abs(cert.agreement_poles[0]) < 1e-9
-        assert cert.is_consensus
 
     def test_first_order_filter_passes(self):
         fa = RationalTF([1.0], [1.0, 1.0])
