@@ -32,7 +32,6 @@ __all__ = [
     "parse_graph_text",
     "format_graph_text",
     "read_graph",
-    "write_graph",
 ]
 
 
@@ -60,10 +59,6 @@ class Graph:
     @property
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-    def neighbors(self, i: int) -> list[int]:
-        out = [b if a == i else a for a, b in self.edges if i in (a, b)]
-        return sorted(out)
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -126,6 +121,8 @@ def modal_transform(g: Graph) -> ModalData:
     if not is_connected(g):
         raise ValueError("modal transform requires a connected graph")
     d = degrees(g)
+    if np.any(d < 1):
+        raise ValueError("modal transform undefined: isolated node present")
     A = adjacency(g)
     dinv_half = 1.0 / np.sqrt(d)
     S = A * np.outer(dinv_half, dinv_half)
@@ -151,30 +148,9 @@ def modal_transform(g: Graph) -> ModalData:
 # -- spectrum-based graph recovery -------------------------------------
 
 
-def _spectrum(n: int, edge_mask: int, pairs: list[tuple[int, int]]) -> np.ndarray | None:
-    A = np.zeros((n, n))
-    for b, (i, j) in enumerate(pairs):
-        if edge_mask >> b & 1:
-            A[i, j] = A[j, i] = 1.0
-    d = A.sum(axis=1)
-    if np.any(d < 1):
-        return None
-    s = 1.0 / np.sqrt(d)
-    return np.linalg.eigvalsh(A * np.outer(s, s))
-
-
-def _canonical_mask(n: int, edge_mask: int, pairs: list[tuple[int, int]]) -> int:
-    index = {p: b for b, p in enumerate(pairs)}
-    best = None
-    for perm in itertools.permutations(range(n)):
-        m = 0
-        for b, (i, j) in enumerate(pairs):
-            if edge_mask >> b & 1:
-                a, c = perm[i], perm[j]
-                m |= 1 << index[(min(a, c), max(a, c))]
-        if best is None or m < best:
-            best = m
-    return best
+# masks built and solved per batched eigvalsh call; at n = 6 a block of 4096
+# adds 3.7 MB of peak memory against 0.25 MB at 512, and is no faster
+_BLOCK = 512
 
 
 def find_graphs_by_spectrum(
@@ -183,36 +159,50 @@ def find_graphs_by_spectrum(
     """All connected graphs on n nodes (one per isomorphism class) whose
     Adjn spectrum matches the sorted target within tol per eigenvalue.
 
-    Brute-force over all 2^(n(n-1)/2) edge subsets, with an n! permutation
-    scan per match, so n is capped at 7: on a 2-CPU Xeon with Python 3.11,
-    n = 6 takes ~3 s and n = 7 210-400 s, and n = 8 (128x the subsets, 8x
-    the permutations per match) would take hours.
+    Brute force over all 2^(n(n-1)/2) edge masks, solved in blocks of
+    _BLOCK with one batched eigvalsh each; every match marks its whole
+    orbit under the n! relabellings as seen and is reported by the
+    orbit's smallest mask.  n is capped at 7: on a 2-CPU Xeon with
+    Python 3.11 and numpy 2.4, n = 6 takes ~0.1 s and n = 7 ~11 s, and
+    n = 8 has 128x the masks, ~23 min by extrapolation.
     """
+    if n < 1:
+        raise ValueError("graph needs at least one node")
     if n > 7:
         raise ValueError("enumeration supported only up to n = 7")
     target = np.sort(np.asarray(target, dtype=float))
     if target.size != n:
         raise ValueError("target spectrum must have n entries")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    matches: dict[int, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        spec = _spectrum(n, mask, pairs)
+    if n == 1:
+        return []  # the single node is isolated
+    rows, cols = np.triu_indices(n, 1)
+    bits = 1 << np.arange(rows.size)
+    bit = np.zeros((n, n), dtype=np.int64)
+    bit[rows, cols] = bit[cols, rows] = bits
+    perms = np.array(list(itertools.permutations(range(n))))
+    image = bit[perms[:, rows], perms[:, cols]]  # where each relabelling sends each bit
+    seen = np.zeros(1 << bits.size, dtype=bool)
+    classes = []
+    for start in range(0, seen.size, _BLOCK):
+        masks = np.arange(start, min(start + _BLOCK, seen.size))
+        A = (masks[:, None, None] & bit) != 0
+        d = A.sum(axis=2)
+        covered = np.all(d > 0, axis=1)
+        masks, A, s = masks[covered], A[covered], 1.0 / np.sqrt(d[covered])
+        spec = np.linalg.eigvalsh(A * (s[:, :, None] * s[:, None, :]))
         # without isolated nodes, connected iff the eigenvalue 1 is simple; at
         # n <= 7 a connected graph's gap 1 - spec[-2] is >= 2.8e-4 (Cheeger),
         # and 0.12 at its smallest
-        if spec is None or spec[-2] > 1.0 - 1e-6:
-            continue
-        if np.max(np.abs(np.sort(spec) - target)) > tol:
-            continue
-        canon = _canonical_mask(n, mask, pairs)
-        if canon not in matches:
-            edges = [
-                (i + 1, j + 1)
-                for b, (i, j) in enumerate(pairs)
-                if canon >> b & 1
-            ]
-            matches[canon] = Graph(n, edges)
-    return [matches[k] for k in sorted(matches)]
+        miss = np.max(np.abs(spec - target), axis=1) > tol
+        for m in masks[(spec[:, -2] <= 1.0 - 1e-6) & ~miss]:
+            if not seen[m]:
+                orbit = np.where(m & bits, image, 0).sum(axis=1)
+                seen[orbit] = True
+                classes.append(orbit.min())
+    return [
+        Graph(n, [(i + 1, j + 1) for i, j, b in zip(rows, cols, bits) if c & b])
+        for c in sorted(classes)
+    ]
 
 
 # -- text format --------------------------------------------------------
@@ -249,7 +239,3 @@ def parse_graph_text(text: str) -> Graph:
 
 def read_graph(path: str | Path) -> Graph:
     return parse_graph_text(Path(path).read_text())
-
-
-def write_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_graph_text(g))

@@ -139,9 +139,7 @@ def run_scenario(
         metrics["noise_variance_lyapunov_per_link"] = per_link
         metrics["noise_variance_lyapunov_per_agent"] = per_agent
         metrics["noise_variance_selected"] = per_link
-        metrics["noise_link_intensity"] = cfg.graph.n / (
-            gain * float(sum(len(cfg.graph.neighbors(i + 1)) for i in range(cfg.graph.n)))
-        )
+        metrics["noise_link_intensity"] = cfg.graph.n / (gain * 2 * len(cfg.graph.edges))
     elif name in ("dist", "dist-pi"):
         for proto in configs:
             traj = trajectories[proto]

@@ -6,7 +6,7 @@ import pytest
 from agreelab import _kernels, sim
 from agreelab.cli import main
 from agreelab.config import ConfigError, ExperimentConfig
-from agreelab.graph import Graph, write_graph
+from agreelab.graph import Graph, format_graph_text
 from agreelab.scenarios import load_scenario, run_scenario
 from agreelab.sim import Trajectory, ensemble_member
 
@@ -93,7 +93,7 @@ class TestConfigParsing:
 
     def test_graph_from_file(self, tmp_path):
         g = Graph(3, [(1, 2), (2, 3)])
-        write_graph(g, tmp_path / "g.graph")
+        (tmp_path / "g.graph").write_text(format_graph_text(g))
         cfg = base_config()
         cfg["graph"] = {"file": "g.graph"}
         cfg["sim"]["y0"] = [0.0, 0.0, 0.0]
@@ -131,7 +131,7 @@ class TestSpectrumCommand:
     def test_dart_report(self, tmp_path, capsys):
         g = Graph(5, [tuple(e) for e in DART_EDGES])
         path = tmp_path / "dart.graph"
-        write_graph(g, path)
+        path.write_text(format_graph_text(g))
         assert main(["spectrum", str(path)]) == 0
         out = capsys.readouterr().out
         assert "nodes 5" in out
@@ -143,7 +143,7 @@ class TestSpectrumCommand:
 
     def test_single_edge(self, tmp_path, capsys):
         path = tmp_path / "e.graph"
-        write_graph(Graph(2, [(1, 2)]), path)
+        path.write_text(format_graph_text(Graph(2, [(1, 2)])))
         assert main(["spectrum", str(path)]) == 0
         out = capsys.readouterr().out
         spectrum = [float(v) for v in out.splitlines()[3].split()[1:]]
@@ -151,14 +151,20 @@ class TestSpectrumCommand:
 
     def test_triangle(self, tmp_path, capsys):
         path = tmp_path / "t.graph"
-        write_graph(Graph(3, [(1, 2), (1, 3), (2, 3)]), path)
+        path.write_text(format_graph_text(Graph(3, [(1, 2), (1, 3), (2, 3)])))
         assert main(["spectrum", str(path)]) == 0
         spectrum = [float(v) for v in capsys.readouterr().out.splitlines()[3].split()[1:]]
         assert np.allclose(spectrum, [1.0, -0.5, -0.5])
 
+    def test_single_node_is_a_clear_error(self, tmp_path, capsys):
+        path = tmp_path / "one.graph"
+        path.write_text("n 1\n")
+        assert main(["spectrum", str(path)]) == 1
+        assert capsys.readouterr().err == "error: modal transform undefined: isolated node present\n"
+
     def test_disconnected_warns_not_errors(self, tmp_path, capsys):
         path = tmp_path / "d.graph"
-        write_graph(Graph(4, [(1, 2), (3, 4)]), path)
+        path.write_text(format_graph_text(Graph(4, [(1, 2), (3, 4)])))
         assert main(["spectrum", str(path)]) == 0
         err = capsys.readouterr().err
         assert "warning" in err

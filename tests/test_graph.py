@@ -18,7 +18,6 @@ from agreelab.graph import (
     normalized_adjacency,
     parse_graph_text,
     read_graph,
-    write_graph,
 )
 
 DART = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)])
@@ -148,7 +147,10 @@ class TestModalTransform:
         def is_bipartite(g):
             color = {1: 0}
             stack = [1]
-            adj = {i: g.neighbors(i) for i in range(1, g.n + 1)}
+            adj = {i: [] for i in range(1, g.n + 1)}
+            for a, b in g.edges:
+                adj[a].append(b)
+                adj[b].append(a)
             while stack:
                 v = stack.pop()
                 for w in adj[v]:
@@ -169,6 +171,10 @@ class TestModalTransform:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             modal_transform(Graph(4, [(1, 2), (3, 4)]))
+
+    def test_single_node_rejected_before_dividing(self):
+        with pytest.raises(ValueError, match="isolated node"):
+            modal_transform(Graph(1, []))
 
 
 class TestSpectrumSearch:
@@ -206,6 +212,14 @@ class TestSpectrumSearch:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
             find_graphs_by_spectrum(9, [0.0] * 9, 1e-9)
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            find_graphs_by_spectrum(0, [], 1e-9)
+
+    def test_single_node_matches_nothing(self):
+        # the one node is isolated, so Adjn is undefined
+        assert find_graphs_by_spectrum(1, [1.0], 1e-9) == []
 
     def test_matches_dfs_filtered_enumeration(self):
         # every distinct spectrum of a graph without isolated nodes at
@@ -252,13 +266,53 @@ class TestSpectrumSearch:
     def test_two_disjoint_edges_match_nothing(self):
         assert find_graphs_by_spectrum(4, [1.0, 1.0, -1.0, -1.0], 1e-9) == []
 
-    def test_eight_nodes_rejected_before_enumerating(self, monkeypatch):
-        import agreelab.graph as graph_module
+    def test_matches_are_complete_at_six_nodes(self):
+        # every labelled 6-node mask, solved one at a time: the classes found
+        # must account for all masks with the target spectrum, 6!/|Aut(g)|
+        # labellings each
+        n = 6
+        perms = list(itertools.permutations(range(n)))
+        pairs = list(itertools.combinations(range(n), 2))
 
+        def relabelled(edges, p):
+            return tuple(sorted(tuple(sorted((p[i], p[j]))) for i, j in edges))
+
+        def canonical(edges):
+            return min(relabelled(edges, p) for p in perms)
+
+        def automorphisms(edges):
+            edges = relabelled(edges, range(n))
+            return sum(relabelled(edges, p) == edges for p in perms)
+
+        spectra = []
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [(i + 1, j + 1) for b, (i, j) in enumerate(pairs) if mask >> b & 1])
+            if is_connected(g):
+                spectra.append(np.sort(np.linalg.eigvals(normalized_adjacency(g)).real))
+        spectra = np.array(spectra)
+
+        rng = np.random.default_rng(61)
+        sources = [random_connected_graph(rng, n) for _ in range(2)]
+        # K_{3,3}, cospectral with K_{1,5} and K_{2,4}, and a cospectral pair
+        sources.append(Graph(n, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)]))
+        sources.append(Graph(n, [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5)]))
+        counts = []
+        for source in sources:
+            target = np.sort(np.linalg.eigvals(normalized_adjacency(source)).real)
+            found = find_graphs_by_spectrum(n, target, 1e-9)
+            forms = [canonical([(i - 1, j - 1) for i, j in g.edges]) for g in found]
+            assert canonical([(i - 1, j - 1) for i, j in source.edges]) in forms
+            assert len(set(forms)) == len(forms)
+            labelled = int(np.sum(np.max(np.abs(spectra - target), axis=1) <= 1e-9))
+            assert sum(len(perms) // automorphisms(f) for f in forms) == labelled
+            counts.append(len(found))
+        assert counts[2:] == [3, 2]
+
+    def test_eight_nodes_rejected_before_enumerating(self, monkeypatch):
         def enumerated(*args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(graph_module, "_spectrum", enumerated)
+        monkeypatch.setattr(np.linalg, "eigvalsh", enumerated)
         with pytest.raises(ValueError, match="n = 7"):
             find_graphs_by_spectrum(8, [0.0] * 8, 1e-9)
 
@@ -270,10 +324,10 @@ class TestGraphText:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         path = tmp_path / "g.graph"
-        write_graph(DART, path)
+        path.write_text(format_graph_text(DART))
         first = path.read_bytes()
         g = read_graph(path)
-        write_graph(g, path)
+        path.write_text(format_graph_text(g))
         assert path.read_bytes() == first
         assert g == DART
 
