@@ -1,10 +1,14 @@
 """Hot time-stepping kernel.
 
 The integrators reduce an LTI step to an affine state update
-``x_{k+1} = phi x_k + g_k``, so the inner loop is a dense
-matrix-vector product repeated for every grid step.  The caller fills
-the drive ``g_k`` (input and noise terms) into the output buffer, and
-the kernel adds ``phi x_k`` in place.  Plain numpy; ``sim`` looks the
+``x_{k+1} = phi x_k + g_k``, so the inner loop is a matrix-vector
+product repeated for every grid step.  ``sim`` steps every member of an
+ensemble together, one block of grid steps at a time: the caller fills
+the drive ``g_k`` (input and noise terms) of every member into the
+block, and the kernel adds ``phi x_k`` in place with one stacked
+``matmul`` per step, a matrix-vector product per member, so a member's
+path has the same bits whichever members it is stepped with.  The
+divergence test runs once per block.  Plain numpy; ``sim`` looks the
 kernel up here at call time.
 """
 
@@ -16,16 +20,17 @@ __all__ = ["affine_path"]
 
 
 def affine_path(phi, out, limit):
-    """States of x_{k+1} = phi x_k + g_k, computed in place.
+    """States of x_{k+1} = phi x_k + g_k for a stack of members, in place.
 
-    On entry out[0] is x_0 and out[k+1] holds g_k; on return out[k] is
-    x_k.  Returns -1, or, if some state magnitude crossed `limit`, the
-    first offending node index, in which case later rows are left as
-    they were.
+    `out` has shape (rows + 1, members, n).  On entry out[0] holds the
+    members' states x_0 and out[k+1] their drives g_k; on return out[k]
+    holds x_k.  Returns -1, or the first row k >= 1 at which a state
+    magnitude of any member is >= `limit` or NaN; rows after it hold
+    whatever the overflow left.
     """
-    for k in range(1, out.shape[0]):
-        x = out[k]
-        x += phi @ out[k - 1]
-        if not np.all(np.abs(x) < limit):
-            return k
-    return -1
+    with np.errstate(all="ignore"):
+        for k in range(1, out.shape[0]):
+            out[k] += np.matmul(phi, out[k - 1][:, :, None])[:, :, 0]
+        peak = np.abs(out[1:]).max(axis=(1, 2))
+    bad = np.flatnonzero(~(peak < limit))
+    return int(bad[0]) + 1 if bad.size else -1

@@ -27,8 +27,8 @@ from .config import (
 from .design import design_filter, feasible, h2_drift
 from .graph import is_connected, modal_transform, read_graph
 from .protocol import check_agreement, check_cancellation, modal_analysis
-from .scenarios import SCENARIOS, _run_noisy, run_scenario
-from .sim import SimulationDiverged, ensemble_member, integrate, settling_time
+from .scenarios import SCENARIOS, _run_noisy, _twin_consensus, run_scenario
+from .sim import SimulationDiverged, ensemble_members, integrate, settling_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -115,15 +115,17 @@ def _simulate_config(cfg: ExperimentConfig, out_dir: Path, seed: int, realizatio
     if cfg.has_noise:
         # the drift slope needs the whole ensemble, the metrics only member 0,
         # and members 1.. are integrated just for their CSVs (R <= 10)
-        stats, ref = _run_noisy(cfg, loop, seed, realizations if realizations >= 30 else 1)
-        metrics["drift_slope"] = stats.drift_slope() if realizations >= 30 else None
-        trajs = [stats.sample] + [
-            ensemble_member(
+        if realizations >= 30:
+            stats, ref = _run_noisy(cfg, loop, seed, realizations)
+            metrics["drift_slope"] = stats.drift_slope()
+            trajs = [stats.sample]
+        else:
+            ref = _twin_consensus(cfg, loop)
+            metrics["drift_slope"] = None
+            trajs = ensemble_members(
                 loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
-                seed, r,
+                seed, range(realizations if realizations <= 10 else 1),
             )
-            for r in range(1, realizations if realizations <= 10 else 1)
-        ]
         primary = trajs[0]
     else:
         primary = integrate(loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon)

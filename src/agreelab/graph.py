@@ -164,7 +164,8 @@ def find_graphs_by_spectrum(
     orbit under the n! relabellings as seen and is reported by the
     orbit's smallest mask.  n is capped at 7: on a 2-CPU Xeon with
     Python 3.11 and numpy 2.4, n = 6 takes ~0.1 s and n = 7 ~11 s, and
-    n = 8 has 128x the masks, ~23 min by extrapolation.
+    n = 8 has 128x the masks, ~23 min by extrapolation.  The target must
+    be finite and tol finite and nonnegative.
     """
     if n < 1:
         raise ValueError("graph needs at least one node")
@@ -173,6 +174,11 @@ def find_graphs_by_spectrum(
     target = np.sort(np.asarray(target, dtype=float))
     if target.size != n:
         raise ValueError("target spectrum must have n entries")
+    # a NaN deviation compares false with tol, so a NaN would match anything
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target spectrum must be finite")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and nonnegative")
     if n == 1:
         return []  # the single node is isolated
     rows, cols = np.triu_indices(n, 1)

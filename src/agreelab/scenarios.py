@@ -6,7 +6,9 @@ network (gain k = 2.65, local controller -(7.586 s + 16)/(s + 0.4143),
 network filter parameters (3, 5, 2)).  The noise scenario injects
 per-link unit-intensity measurement noise scaled to the calibrated link
 intensity nu/(2 k |E|), which makes the expected agreement-mode drift
-of the classic design exactly k/nu.
+of the classic design exactly k/nu.  The disturbance scenarios' files
+also hold the windows, in seconds, of their ramp-slope, sup-norm and gap
+metrics.
 """
 
 from __future__ import annotations
@@ -26,21 +28,31 @@ __all__ = ["SCENARIOS", "load_scenario", "run_scenario"]
 
 SCENARIOS = ("nominal", "noise", "dist", "dist-pi")
 
-# late window, in seconds, of the ramp-slope fit in the disturbance scenarios
-_RAMP_WINDOW = (40.0, 60.0)
-
 
 def _data_text(name: str) -> str:
     return resources.files("agreelab.data").joinpath(name).read_text()
 
 
-def load_scenario(name: str) -> dict[str, ExperimentConfig]:
+def _load(name: str) -> tuple[dict[str, ExperimentConfig], dict]:
+    """The scenario's classic and 2DOF configurations, and its metric
+    windows in seconds ({} where the scenario has none)."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     raw = json.loads(_data_text(name.replace("-", "_") + ".json"))
-    return {
-        key: ExperimentConfig.from_dict(raw[key]) for key in ("classic", "twodof")
-    }
+    configs = {key: ExperimentConfig.from_dict(raw[key]) for key in ("classic", "twodof")}
+    return configs, raw.get("metric_windows", {})
+
+
+def load_scenario(name: str) -> dict[str, ExperimentConfig]:
+    return _load(name)[0]
+
+
+def _twin_consensus(cfg: ExperimentConfig, loop) -> float:
+    """Final consensus of the noise-free twin of a noisy configuration:
+    the same run with every measurement channel at zero."""
+    zero = [SignalSpec.zero()] * cfg.graph.n
+    twin = integrate(loop, cfg.signals_d, zero, cfg.y0, cfg.dt, cfg.horizon)
+    return float(np.mean(twin.outputs[-1]))
 
 
 def _run_noisy(
@@ -49,9 +61,7 @@ def _run_noisy(
     """Every run of a noisy configuration: the ensemble of its
     agreement-mode projection, with member 0 as the sample path, and the
     final consensus of its noise-free twin."""
-    zero = [SignalSpec.zero()] * cfg.graph.n
-    twin = integrate(loop, cfg.signals_d, zero, cfg.y0, cfg.dt, cfg.horizon)
-    reference = float(np.mean(twin.outputs[-1]))
+    reference = _twin_consensus(cfg, loop)
     stats = run_ensemble(
         loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
         seed=seed, realizations=realizations, projection=modal_transform(cfg.graph).U[0],
@@ -87,7 +97,7 @@ def run_scenario(
 ) -> dict:
     """Run one built-in scenario; returns the metrics dict and leaves
     one trajectory CSV per protocol in out_dir."""
-    configs = load_scenario(name)
+    configs, windows = _load(name)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics: dict = {"scenario": name}
@@ -143,11 +153,11 @@ def run_scenario(
     elif name in ("dist", "dist-pi"):
         for proto in configs:
             traj = trajectories[proto]
-            metrics[f"{proto}_ramp_slope"] = _mean_output_slope(traj, _RAMP_WINDOW)
-            metrics[f"{proto}_sup_norm_20_40"] = _sup_norm(traj, 20.0, 40.0)
-            metrics[f"{proto}_sup_norm_40_60"] = _sup_norm(traj, 40.0, 60.0)
-            metrics[f"{proto}_gap_at_20"] = _max_gap(traj, 20.0)
-            metrics[f"{proto}_gap_at_60"] = _max_gap(traj, 60.0)
+            metrics[f"{proto}_ramp_slope"] = _mean_output_slope(traj, windows["ramp_slope"])
+            for lo, hi in windows["sup_norm"]:
+                metrics[f"{proto}_sup_norm_{lo:g}_{hi:g}"] = _sup_norm(traj, lo, hi)
+            for t in windows["gap_at"]:
+                metrics[f"{proto}_gap_at_{t:g}"] = _max_gap(traj, t)
         metrics["ramp_slope_ratio"] = (
             metrics["twodof_ramp_slope"] / metrics["classic_ramp_slope"]
         )

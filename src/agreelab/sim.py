@@ -12,6 +12,12 @@ preserved while the hot loop stays a single matrix-vector product.
 White noise enters Euler-Maruyama style: an increment of standard
 deviation sigma*sqrt(dt) per channel per step, gated by the onset time,
 on top of the fourth-order deterministic update.
+
+Every path, one member or a whole ensemble, comes out of one routine,
+`_Prepared.blocks`, which steps the members of a run together one block
+of grid nodes at a time.  A member's path has the same bits as when it
+is stepped alone over the whole horizon, whatever the other members, as
+far as BLAS gives each row of a product the same bits at any row count.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +43,10 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e9
+
+# Grid nodes per block: the noise draws, the divergence test and the
+# ensemble statistics run once per block, not once per step.
+_CHUNK = 256
 
 
 class SimulationDiverged(RuntimeError):
@@ -226,32 +236,58 @@ class _Prepared:
     def n_noise(self) -> int:
         return self.bn.shape[1]
 
-    def draw_increments(self, rng: np.random.Generator) -> np.ndarray:
-        w = rng.standard_normal((self.nsteps, self.n_noise))
-        w *= self.noise_scale[None, :]
-        for c, k0 in enumerate(self.noise_gate):
-            w[:k0, c] = 0.0
-        return w
+    def blocks(self, seed: int | None, members: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+        """Outputs of ensemble members `members` of master seed `seed`
+        (noise off if seed is None), _CHUNK grid nodes at a time.
 
-    def outputs_from_states(self, states: np.ndarray) -> np.ndarray:
-        return states @ self.C.T + self.u @ self.Dmat.T
+        Yields (k0, y) with y[j, i] the outputs of member members[i] at
+        node k0 + j; y is overwritten by the next block.  Raises
+        SimulationDiverged at the first node at which a state magnitude
+        of any member reaches DIVERGENCE_LIMIT.
+        """
+        n, R, nn = self.phi.shape[0], len(members), self.n_noise
+        rngs = []
+        if seed is not None and nn > 0:
+            rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in members]
+        drive = self.u[:-1] @ self.gb.T  # row k: the input term of step k
+        feed = self.u @ self.Dmat.T
+        # Products run over whole buffers, so every BLAS call has the same
+        # shape whatever the block.  Row 0 of x is the node before the
+        # block.  The last block takes up to _CHUNK + 1 nodes: numpy routes
+        # a one-row product to another BLAS routine, whose bits can differ.
+        x = np.zeros((_CHUNK + 2, R, n))
+        w = np.zeros((R, _CHUNK + 1, nn))
+        x[1] = self.x0
+        npts = self.nsteps + 1
+        k0 = 0
+        while k0 < npts:
+            rows = npts - k0 if npts - k0 <= _CHUNK + 1 else _CHUNK
+            first = max(k0, 1)  # first node stepped in this block
+            s, m = first - k0 + 1, k0 + rows - first  # its buffer row, the step count
+            x[s:rows + 1] = drive[first - 1:first - 1 + m, None, :]
+            if rngs:
+                for wr, rng in zip(w, rngs):
+                    rng.standard_normal(out=wr[:m])
+                w[:, :m] *= self.noise_scale
+                for c, k_on in enumerate(self.noise_gate):
+                    w[:, :min(max(k_on - first + 1, 0), m), c] = 0.0
+                noise = (w.reshape(-1, nn) @ self.bn.T).reshape(R, _CHUNK + 1, n)
+                x[s:rows + 1] += noise[:, :m].transpose(1, 0, 2)
+            blow = _kernels.affine_path(self.phi, x[s - 1:rows + 1], DIVERGENCE_LIMIT)
+            if blow >= 0:
+                raise SimulationDiverged((first - 1 + blow) * self.dt)
+            y = (x[1:].reshape(-1, n) @ self.C.T).reshape(_CHUNK + 1, R, -1)[:rows]
+            y += feed[k0:k0 + rows, None, :]
+            yield k0, y
+            x[0] = x[rows]
+            k0 += rows
 
-    def run(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Outputs at every node; the noise channels stay off without rng."""
-        out = np.empty((self.nsteps + 1, self.phi.shape[0]))
-        out[0] = self.x0
-        np.matmul(self.u[:-1], self.gb.T, out=out[1:])
-        if rng is not None and self.n_noise > 0:
-            out[1:] += self.draw_increments(rng) @ self.bn.T
-        blow = _kernels.affine_path(self.phi, out, DIVERGENCE_LIMIT)
-        if blow >= 0:
-            raise SimulationDiverged(blow * self.dt)
-        return self.outputs_from_states(out)
-
-    def run_member(self, master_seed: int, realization: int) -> np.ndarray:
-        """Outputs of ensemble member `realization` of `master_seed`."""
-        seq = member_seed(master_seed, realization)
-        return self.run(np.random.Generator(np.random.Philox(seq)))
+    def outputs(self, seed: int | None, members: Sequence[int]) -> np.ndarray:
+        """Outputs at every node, indexed (node, member, agent)."""
+        y = np.empty((self.nsteps + 1, len(members), self.C.shape[0]))
+        for k0, block in self.blocks(seed, members):
+            y[k0:k0 + block.shape[0]] = block
+        return y
 
 
 def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
@@ -259,8 +295,7 @@ def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
     prep = _Prepared(loop, d, n, y0, dt, T)
     if prep.n_noise > 0:
         raise ValueError("integrate handles deterministic signals only")
-    y = prep.run()
-    return Trajectory(times=prep.times, outputs=y, dt=dt)
+    return Trajectory(times=prep.times, outputs=prep.outputs(None, [0])[:, 0], dt=dt)
 
 
 def member_seed(master_seed: int, realization: int) -> np.random.SeedSequence:
@@ -268,14 +303,24 @@ def member_seed(master_seed: int, realization: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(realization),))
 
 
+def ensemble_members(
+    loop, d, n, y0, dt: float, T: float, master_seed: int, realizations: Sequence[int]
+) -> list[Trajectory]:
+    """The exact trajectories that the given realizations contribute to
+    run_ensemble(master_seed, ...), stepped together.  Bit-reproducible
+    for a fixed (master_seed, realization, dt, T), whatever the other
+    members."""
+    prep = _Prepared(loop, d, n, y0, dt, T)
+    y = prep.outputs(master_seed, realizations)
+    return [Trajectory(times=prep.times, outputs=y[:, i], dt=dt) for i in range(y.shape[1])]
+
+
 def ensemble_member(
     loop, d, n, y0, dt: float, T: float, master_seed: int, realization: int
 ) -> Trajectory:
     """The exact trajectory that realization `realization` contributes
-    to run_ensemble(master_seed, ...).  Bit-reproducible for a fixed
-    (master_seed, realization, dt, T)."""
-    prep = _Prepared(loop, d, n, y0, dt, T)
-    return Trajectory(times=prep.times, outputs=prep.run_member(master_seed, realization), dt=dt)
+    to run_ensemble(master_seed, ...)."""
+    return ensemble_members(loop, d, n, y0, dt, T, master_seed, [realization])[0]
 
 
 @dataclass(frozen=True)
@@ -317,7 +362,12 @@ def run_ensemble(
     Member r is driven by the stream member_seed(seed, r), so the merged
     statistics do not depend on evaluation order.  The variance is a
     Welford (1962) update of each member's deviation from member 0, so a
-    mean much larger than the spread does not cancel.
+    mean much larger than the spread does not cancel.  The members are
+    stepped together and the statistics updated one block of grid nodes
+    at a time; only member 0's whole path is kept, as the sample.  A
+    divergence is reported at the earliest grid time at which any
+    member's state crosses the limit, which does not depend on member
+    order either.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -328,18 +378,18 @@ def run_ensemble(
     npts = prep.nsteps + 1
     mean = np.zeros(npts)  # running mean of z - z0
     m2 = np.zeros(npts)
-    finals = np.empty((realizations, loop.nagents))
-    for r in range(realizations):
-        y = prep.run_member(seed, r)
-        z = y @ projection
-        if r == 0:
-            sample = Trajectory(times=prep.times, outputs=y, dt=dt)
-            z0 = z
-        x = z - z0
-        delta = x - mean
-        mean += delta / (r + 1)
-        m2 += delta * (x - mean)
-        finals[r] = y[-1]
+    z0 = np.empty(npts)
+    sample = np.empty((npts, loop.nagents))
+    for k0, y in prep.blocks(seed, range(realizations)):
+        nodes = slice(k0, k0 + y.shape[0])
+        sample[nodes] = y[:, 0]
+        z0[nodes] = y[:, 0] @ projection
+        mu, s2 = mean[nodes], m2[nodes]
+        for r in range(realizations):
+            x = y[:, r] @ projection - z0[nodes]
+            delta = x - mu
+            mu += delta / (r + 1)
+            s2 += delta * (x - mu)
     variance = m2 / max(realizations - 1, 1)  # m2 is zero for one member
     return EnsembleStats(
         times=prep.times,
@@ -347,9 +397,9 @@ def run_ensemble(
         projection=projection,
         mean=z0 + mean,
         variance=variance,
-        finals=finals,
+        finals=y[-1].copy(),
         master_seed=int(seed),
-        sample=sample,
+        sample=Trajectory(times=prep.times, outputs=sample, dt=dt),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from agreelab.cli import main
 from agreelab.config import ConfigError, ExperimentConfig
 from agreelab.graph import Graph, format_graph_text
 from agreelab.scenarios import load_scenario, run_scenario
-from agreelab.sim import Trajectory, ensemble_member
+from agreelab.sim import SimulationDiverged, Trajectory, ensemble_member
 
 DART_EDGES = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4]]
 
@@ -52,19 +53,24 @@ def noisy_config(T=8.0):
     return cfg
 
 
-def count_kernel_calls(monkeypatch) -> list[str]:
-    """Stepping-kernel calls ("affine_path") and noise draws
-    ("draw_increments") from now on, in call order."""
-    calls = []
-    for owner, name in ((_kernels, "affine_path"), (sim._Prepared, "draw_increments")):
-        original = getattr(owner, name)
+def count_paths(monkeypatch) -> dict:
+    """From now on: the realizations whose noise streams are opened
+    ("streams", in call order) and the member-steps the stepping kernel
+    takes ("member_steps": steps times the members stepped together)."""
+    counts = {"streams": [], "member_steps": 0}
+    seed_of, kernel = sim.member_seed, _kernels.affine_path
 
-        def counted(*args, original=original, name=name):
-            calls.append(name)
-            return original(*args)
+    def counted_seed(master_seed, realization):
+        counts["streams"].append(realization)
+        return seed_of(master_seed, realization)
 
-        monkeypatch.setattr(owner, name, counted)
-    return calls
+    def counted_kernel(phi, out, limit):
+        counts["member_steps"] += (out.shape[0] - 1) * out.shape[1]
+        return kernel(phi, out, limit)
+
+    monkeypatch.setattr(sim, "member_seed", counted_seed)
+    monkeypatch.setattr(_kernels, "affine_path", counted_kernel)
+    return counts
 
 
 class TestConfigParsing:
@@ -236,6 +242,32 @@ class TestSimulateCommand:
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert metrics["diverged_at_s"] > 0
 
+    @pytest.mark.parametrize("realizations", [3, 30])
+    def test_divergence_time_is_earliest_member(self, tmp_path, realizations):
+        # unstable loop from rest: the twin stays at zero and only the noise
+        # drives the members away, each at its own time
+        cfg = base_config("twodof")
+        cfg["protocol"]["network_filter"] = {"num": [2.0], "den": [1.0, 1.0]}
+        cfg["signals"]["n"] = {"kind": "white_noise", "intensity": 0.05, "onset": 1.0}
+        cfg["sim"].update(T=40.0, y0=[0.0] * 5, seed=3)
+        path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "div"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["simulate", path, "--out", str(out_dir), "--realizations", str(realizations)])
+        assert rc == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        loaded = ExperimentConfig.from_dict(cfg)
+        loop = loaded.build_loop()
+        times = []
+        for r in range(realizations):
+            with pytest.raises(SimulationDiverged) as err:
+                ensemble_member(loop, loaded.signals_d, loaded.signals_n, loaded.y0, loaded.dt, loaded.horizon, 3, r)
+            times.append(err.value.time)
+        assert np.argmin(times) != 0
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["diverged_at_s"] == min(times)
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = base_config("classic")
         cfg["protocol"]["k"] = -1.0
@@ -256,10 +288,10 @@ class TestSimulateCommand:
     def test_ensemble_integrates_each_path_once(self, tmp_path, monkeypatch):
         # 30 members, member 0 among them, plus the noise-free twin
         path = write_config(tmp_path, noisy_config(T=2.0))
-        calls = count_kernel_calls(monkeypatch)
+        counts = count_paths(monkeypatch)
         assert main(["simulate", path, "--out", str(tmp_path / "o"), "--realizations", "30"]) == 0
-        assert calls.count("draw_increments") == 30
-        assert calls.count("affine_path") == 31
+        assert counts["streams"] == list(range(30))
+        assert counts["member_steps"] == 31 * 2000
 
     def test_trajectory_files_are_ensemble_members(self, tmp_path):
         cfg = noisy_config(T=2.0)
@@ -381,10 +413,11 @@ class TestReproduceCommand:
         assert "config error:" in capsys.readouterr().err
 
     def test_noise_runs_twin_and_member_zero_only(self, tmp_path, monkeypatch):
-        calls = count_kernel_calls(monkeypatch)
+        counts = count_paths(monkeypatch)
         run_scenario("noise", tmp_path / "noise", realizations=1)
-        assert calls.count("draw_increments") == 2
-        assert calls.count("affine_path") == 4
+        assert counts["streams"] == [0, 0]
+        cfg = load_scenario("noise")["classic"]
+        assert counts["member_steps"] == 4 * round(cfg.horizon / cfg.dt)
 
     def test_noise_sample_csv_is_member_zero(self, tmp_path):
         out_dir = tmp_path / "noise"

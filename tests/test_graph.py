@@ -217,6 +217,22 @@ class TestSpectrumSearch:
         with pytest.raises(ValueError, match="at least one node"):
             find_graphs_by_spectrum(0, [], 1e-9)
 
+    @pytest.mark.parametrize(
+        "target, tol",
+        [
+            ([np.nan, 0.0, 0.0, 0.0], 1e-9),
+            ([1.0, np.inf, -0.5, -0.5], 1e-9),
+            ([1.0, 0.0, -0.5, -0.5], np.nan),
+            ([1.0, 0.0, -0.5, -0.5], np.inf),
+            ([1.0, 0.0, -0.5, -0.5], -1e-9),
+        ],
+        ids=["nan-target", "inf-target", "nan-tol", "inf-tol", "negative-tol"],
+    )
+    def test_nonfinite_target_or_bad_tol_rejected(self, target, tol):
+        # a NaN deviation never exceeds tol, so it used to match every class
+        with pytest.raises(ValueError, match="finite|nonnegative"):
+            find_graphs_by_spectrum(4, target, tol)
+
     def test_single_node_matches_nothing(self):
         # the one node is isolated, so Adjn is undefined
         assert find_graphs_by_spectrum(1, [1.0], 1e-9) == []

@@ -4,14 +4,26 @@ import warnings
 import numpy as np
 import pytest
 
+from agreelab.design import FilterParams, make_filter
 from agreelab.graph import Graph
 from agreelab.lti import RationalTF, StateSpace
-from agreelab.protocol import AgentModel, ClassicConfig, ClosedLoop, build_classic
+from agreelab.protocol import (
+    AgentModel,
+    ClassicConfig,
+    ClosedLoop,
+    TwoDofConfig,
+    build_2dof,
+    build_classic,
+)
 from agreelab.sim import (
+    _CHUNK,
+    DIVERGENCE_LIMIT,
     SignalSpec,
     SimulationDiverged,
     Trajectory,
+    _Prepared,
     ensemble_member,
+    ensemble_members,
     integrate,
     member_seed,
     rk4_transition,
@@ -33,6 +45,55 @@ def scalar_loop(a: float) -> ClosedLoop:
 def consensus_loop(n_agents=5, k=2.65):
     agents = [AgentModel(INTEGRATOR) for _ in range(n_agents)]
     return build_classic(DART, agents, ClassicConfig(gains=k))
+
+
+def twodof_loop():
+    """The 30-state 2DOF loop of the reproduction scenarios."""
+    fd = RationalTF([-16.0, -7.586], [0.4143, 1.0])
+    agents = [AgentModel(INTEGRATOR, fd) for _ in range(5)]
+    return build_2dof(DART, agents, TwoDofConfig(make_filter(FilterParams(3.0, 5.0, 2.0))))
+
+
+def reference_member(loop, d, n, y0, dt, T, seed, realization):
+    """Outputs of one member stepped alone over the whole horizon, as the
+    engine did before it stepped members together: x <- phi x + gb u_k +
+    bn w_k, one matrix-vector product and one divergence test per step;
+    the noise stays off when seed is None."""
+    p = _Prepared(loop, d, n, y0, dt, T)
+    out = np.empty((p.nsteps + 1, p.phi.shape[0]))
+    out[0] = p.x0
+    np.matmul(p.u[:-1], p.gb.T, out=out[1:])
+    if seed is not None:
+        rng = np.random.Generator(np.random.Philox(member_seed(seed, realization)))
+        w = rng.standard_normal((p.nsteps, p.n_noise))
+        w *= p.noise_scale[None, :]
+        for c, k_on in enumerate(p.noise_gate):
+            w[:k_on, c] = 0.0
+        out[1:] += w @ p.bn.T
+    for k in range(1, out.shape[0]):
+        x = out[k]
+        x += p.phi @ out[k - 1]
+        if not np.all(np.abs(x) < DIVERGENCE_LIMIT):
+            raise SimulationDiverged(k * p.dt)
+    return out @ p.C.T + p.u @ p.Dmat.T
+
+
+def reference_ensemble(loop, d, n, y0, dt, T, seed, realizations, projection):
+    """(mean, variance, finals, sample) of members stepped one at a time,
+    merged by the Welford update of each member's deviation from member 0."""
+    for r in range(realizations):
+        y = reference_member(loop, d, n, y0, dt, T, seed, r)
+        z = y @ projection
+        if r == 0:
+            sample, z0 = y, z
+            mean, m2 = np.zeros_like(z), np.zeros_like(z)
+            finals = np.empty((realizations, y.shape[1]))
+        x = z - z0
+        delta = x - mean
+        mean += delta / (r + 1)
+        m2 += delta * (x - mean)
+        finals[r] = y[-1]
+    return z0 + mean, m2 / max(realizations - 1, 1), finals, sample
 
 
 class TestSignalSpec:
@@ -164,6 +225,72 @@ class TestStochasticIntegration:
         stats = run_ensemble(loop, ZERO, spec, [1e8], 1e-2, 2.0, seed=0, realizations=R, projection=[1.0])
         z = np.stack([ensemble_member(loop, ZERO, spec, [1e8], 1e-2, 2.0, 0, r).outputs[:, 0] for r in range(R)])
         assert stats.variance[-1] == pytest.approx(z[:, -1].var(ddof=1), rel=1e-9)
+
+
+class TestBatchedEngine:
+    """Members stepped together against members stepped one at a time:
+    the same bits for every block-boundary case."""
+
+    LOOPS = {1: scalar_loop(-0.5), 5: consensus_loop(), 30: twodof_loop()}
+    DT = 1e-2
+
+    def signals(self, nagents, onset_node):
+        # a step and white noise mixed; noise channel 0 starts at onset_node,
+        # the others inside the first block
+        d = [SignalSpec.step(0.7, onset=150 * self.DT)] + [ZERO] * (nagents - 1)
+        n = [SignalSpec.white_noise(0.3, onset=onset_node * self.DT)]
+        n += [SignalSpec.white_noise(0.2, onset=37 * self.DT)] * (nagents - 1)
+        return d, n
+
+    @pytest.mark.parametrize("onset_node", [37, _CHUNK], ids=["onset-inside", "onset-boundary"])
+    @pytest.mark.parametrize("realizations", [1, 2, 7, 33])
+    @pytest.mark.parametrize("nsteps", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("nstates", [1, 5, 30])
+    def test_ensemble_bit_identical_to_member_loop(self, nstates, nsteps, realizations, onset_node):
+        loop = self.LOOPS[nstates]
+        assert loop.dynamics.A.shape[0] == nstates
+        nu = loop.nagents
+        d, n = self.signals(nu, onset_node)
+        y0 = np.linspace(1.0, -0.5, nu)
+        projection = np.full(nu, 1.0 / nu)
+        T = nsteps * self.DT
+        stats = run_ensemble(loop, d, n, y0, self.DT, T, seed=5, realizations=realizations, projection=projection)
+        mean, variance, finals, sample = reference_ensemble(loop, d, n, y0, self.DT, T, 5, realizations, projection)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.variance, variance)
+        assert np.array_equal(stats.finals, finals)
+        assert np.array_equal(stats.sample.outputs, sample)
+        last = realizations - 1
+        member = ensemble_member(loop, d, n, y0, self.DT, T, 5, last)
+        assert np.array_equal(member.outputs, reference_member(loop, d, n, y0, self.DT, T, 5, last))
+        zero = [ZERO] * nu
+        path = integrate(loop, d, zero, y0, self.DT, T)
+        assert np.array_equal(path.outputs, reference_member(loop, d, zero, y0, self.DT, T, None, 0))
+
+    def test_member_paths_do_not_depend_on_company(self):
+        loop = self.LOOPS[5]
+        d, n = self.signals(5, 37)
+        T = (2 * _CHUNK + 3) * self.DT
+        together = ensemble_members(loop, d, n, np.ones(5), self.DT, T, 8, [4, 0, 2])
+        for r, traj in zip([4, 0, 2], together):
+            alone = ensemble_member(loop, d, n, np.ones(5), self.DT, T, 8, r)
+            assert np.array_equal(traj.outputs, alone.outputs)
+
+    def test_divergence_is_earliest_over_members(self):
+        # unstable, zero initial state: only the noise drives the members away
+        loop = scalar_loop(5.0)
+        n = SignalSpec.white_noise(1.0)
+        times = []
+        for r in range(6):
+            with pytest.raises(SimulationDiverged) as err:
+                reference_member(loop, ZERO, n, [0.0], 1e-3, 10.0, 4, r)
+            times.append(err.value.time)
+        assert len(set(times)) > 1 and np.argmin(times) != 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDiverged) as err:
+                run_ensemble(loop, ZERO, n, [0.0], 1e-3, 10.0, seed=4, realizations=6, projection=[1.0])
+        assert err.value.time == min(times)
 
 
 class TestMetrics:
