@@ -27,8 +27,8 @@ from .config import (
 from .design import design_filter, feasible, h2_drift
 from .graph import is_connected, modal_transform, read_graph
 from .protocol import check_agreement, check_cancellation, modal_analysis
-from .scenarios import SCENARIOS, _run_noisy, _twin_consensus, run_scenario
-from .sim import SimulationDiverged, ensemble_members, integrate, settling_time
+from .scenarios import SCENARIOS, _run_noisy, run_scenario
+from .sim import SimulationDiverged, integrate, settling_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -61,6 +61,13 @@ def _realizations(text: str) -> int:
     """--realizations takes a positive integer, as config.sim.realizations does."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """--seed takes a nonnegative integer, as config.sim.seed does."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
 
@@ -113,25 +120,17 @@ def _simulate_config(cfg: ExperimentConfig, out_dir: Path, seed: int, realizatio
     loop = cfg.build_loop()
     metrics: dict = {"seed": seed}
     if cfg.has_noise:
-        # the drift slope needs the whole ensemble, the metrics only member 0,
-        # and members 1.. are integrated just for their CSVs (R <= 10)
-        if realizations >= 30:
-            stats, ref = _run_noisy(cfg, loop, seed, realizations)
-            metrics["drift_slope"] = stats.drift_slope()
-            trajs = [stats.sample]
-        else:
-            ref = _twin_consensus(cfg, loop)
-            metrics["drift_slope"] = None
-            trajs = ensemble_members(
-                loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
-                seed, range(realizations if realizations <= 10 else 1),
-            )
-        primary = trajs[0]
+        # the metrics need member 0, the drift slope the whole ensemble,
+        # and members 0..R-1 are kept for their CSVs when R <= 10
+        stats, metrics["drift_slope"] = _run_noisy(
+            cfg, loop, seed, realizations, keep=realizations if realizations <= 10 else 1
+        )
+        trajs, ref = stats.paths, stats.reference
     else:
-        primary = integrate(loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon)
-        trajs = [primary]
+        trajs = [integrate(loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon)]
         metrics["drift_slope"] = None
-        ref = float(np.mean(primary.outputs[-1]))
+        ref = float(np.mean(trajs[0].outputs[-1]))
+    primary = trajs[0]
 
     try:
         metrics["settling_time_s"] = settling_time(primary)
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one experiment configuration")
     p.add_argument("config")
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--realizations", type=_realizations, default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="built-in reproduction scenarios")
     p.add_argument("scenario", choices=SCENARIOS)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--realizations", type=_realizations, default=None)
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -42,6 +42,11 @@ def _require_keys(obj: dict, path: str, required: set, optional: set = frozenset
         raise ConfigError(path, f"missing keys {sorted(missing)}")
 
 
+def _is_int(obj: Any) -> bool:
+    """JSON integers only: not booleans, not floats such as 2.0."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(path, "expected a number")
@@ -81,15 +86,15 @@ def _parse_graph(obj: Any, path: str, base_dir: Path) -> Graph:
             raise ConfigError(path, f"cannot read graph file: {e}") from None
     _require_keys(obj, path, {"n", "edges"})
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ConfigError(f"{path}.n", "expected a positive integer")
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise ConfigError(f"{path}.edges", "expected a list of [i, j] pairs")
     pairs = []
     for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise ConfigError(f"{path}.edges[{i}]", "expected a pair [i, j]")
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise ConfigError(f"{path}.edges[{i}]", "expected a pair [i, j] of integers")
         pairs.append((e[0], e[1]))
     try:
         return Graph(n, pairs)
@@ -234,10 +239,10 @@ class ExperimentConfig:
         if len(y0) != nu:
             raise ConfigError("config.sim.y0", f"expected {nu} entries")
         seed = sim_obj.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("config.sim.seed", "expected an integer")
+        if not _is_int(seed) or seed < 0:
+            raise ConfigError("config.sim.seed", "expected a nonnegative integer")
         realizations = sim_obj.get("realizations", 1)
-        if isinstance(realizations, bool) or not isinstance(realizations, int) or realizations < 1:
+        if not _is_int(realizations) or realizations < 1:
             raise ConfigError("config.sim.realizations", "expected a positive integer")
 
         return ExperimentConfig(

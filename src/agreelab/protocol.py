@@ -150,7 +150,6 @@ class AgreementCertificate:
     passed: bool
     agreement_poles: np.ndarray
     failures: list
-    alphas: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,6 @@ class CancellationVerdict:
     pole: complex
     holds: bool
     vanishes: list
-    distances: list
 
     @property
     def verdict(self) -> str:
@@ -394,7 +392,6 @@ def check_agreement(fa: RationalTF, alphas: Sequence[float]) -> AgreementCertifi
         passed=not failures,
         agreement_poles=agreement_poles,
         failures=failures,
-        alphas=alphas,
     )
 
 
@@ -427,20 +424,13 @@ def check_cancellation(
     if abs(p.real) > tol:
         raise ValueError("cancellation check applies to imaginary-axis poles only")
     vanishes = []
-    distances = []
     for tf in loop_tfs:
-        cancelled = tf_cancel(tf)
-        if cancelled.num.is_zero:
+        if tf_cancel(tf).num.is_zero:
             vanishes.append(True)
-            distances.append(0.0)
             continue
         zeros = tf_zeros(tf)
-        d = float(np.min(np.abs(zeros - p))) if zeros.size else np.inf
-        vanishes.append(bool(d <= tol))
-        distances.append(d)
-    return CancellationVerdict(
-        pole=p, holds=bool(all(vanishes)), vanishes=vanishes, distances=distances
-    )
+        vanishes.append(bool(zeros.size) and float(np.min(np.abs(zeros - p))) <= tol)
+    return CancellationVerdict(pole=p, holds=all(vanishes), vanishes=vanishes)
 
 
 # -- noise-model resolution ----------------------------------------------

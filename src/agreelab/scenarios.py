@@ -22,7 +22,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .graph import modal_transform
 from .protocol import classic_noise_disagreement_variance
-from .sim import EnsembleStats, SignalSpec, Trajectory, integrate, run_ensemble, settling_time
+from .sim import EnsembleStats, Trajectory, integrate, run_ensemble, settling_time
 
 __all__ = ["SCENARIOS", "load_scenario", "run_scenario"]
 
@@ -47,26 +47,19 @@ def load_scenario(name: str) -> dict[str, ExperimentConfig]:
     return _load(name)[0]
 
 
-def _twin_consensus(cfg: ExperimentConfig, loop) -> float:
-    """Final consensus of the noise-free twin of a noisy configuration:
-    the same run with every measurement channel at zero."""
-    zero = [SignalSpec.zero()] * cfg.graph.n
-    twin = integrate(loop, cfg.signals_d, zero, cfg.y0, cfg.dt, cfg.horizon)
-    return float(np.mean(twin.outputs[-1]))
-
-
 def _run_noisy(
-    cfg: ExperimentConfig, loop, seed: int, realizations: int
-) -> tuple[EnsembleStats, float]:
+    cfg: ExperimentConfig, loop, seed: int, realizations: int, keep: int = 1
+) -> tuple[EnsembleStats, float | None]:
     """Every run of a noisy configuration: the ensemble of its
-    agreement-mode projection, with member 0 as the sample path, and the
-    final consensus of its noise-free twin."""
-    reference = _twin_consensus(cfg, loop)
+    agreement-mode projection, with members 0..keep-1 as paths and the
+    final consensus of its noise-free twin as the reference, and its
+    drift slope, None below the 30 realizations the slope needs."""
     stats = run_ensemble(
         loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
         seed=seed, realizations=realizations, projection=modal_transform(cfg.graph).U[0],
+        keep=keep,
     )
-    return stats, reference
+    return stats, stats.drift_slope() if realizations >= 30 else None
 
 
 def _mean_output_slope(traj: Trajectory, window: tuple[float, float]) -> float:
@@ -109,17 +102,14 @@ def run_scenario(
         metrics[f"{proto}_seed"] = use_seed
         if cfg.has_noise:
             R = cfg.realizations if realizations is None else realizations
-            stats, ref = _run_noisy(cfg, loop, use_seed, R)
-            norms = np.linalg.norm(stats.finals - ref, axis=1)
-            metrics[f"{proto}_drift_slope"] = (
-                stats.drift_slope() if R >= 30 else None
-            )
-            metrics[f"{proto}_final_consensus"] = ref
+            stats, metrics[f"{proto}_drift_slope"] = _run_noisy(cfg, loop, use_seed, R)
+            norms = np.linalg.norm(stats.finals - stats.reference, axis=1)
+            metrics[f"{proto}_final_consensus"] = stats.reference
             metrics[f"{proto}_median_disagreement_norm_at_{cfg.horizon:g}"] = float(
                 np.median(norms)
             )
             metrics[f"{proto}_realizations"] = R
-            trajectories[proto] = stats.sample
+            trajectories[proto] = stats.paths[0]
         else:
             traj = integrate(
                 loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon

@@ -13,11 +13,15 @@ White noise enters Euler-Maruyama style: an increment of standard
 deviation sigma*sqrt(dt) per channel per step, gated by the onset time,
 on top of the fourth-order deterministic update.
 
-Every path, one member or a whole ensemble, comes out of one routine,
-`_Prepared.blocks`, which steps the members of a run together one block
-of grid nodes at a time.  A member's path has the same bits as when it
-is stepped alone over the whole horizon, whatever the other members, as
-far as BLAS gives each row of a product the same bits at any row count.
+Every path comes out of one routine, `_Prepared.blocks`, which steps
+the members of a run together one block of grid nodes at a time.
+`integrate` is a run of one noise-free member.  A noisy run is one
+`run_ensemble` call: its R members and its noise-free twin, the same
+run with every measurement channel at zero, stepped as one batch of
+R + 1 paths.  A path
+has the same bits as when it is stepped alone over the whole horizon,
+whatever the other members, as far as BLAS gives each row of a product
+the same bits at any row count.
 """
 
 from __future__ import annotations
@@ -236,9 +240,11 @@ class _Prepared:
     def n_noise(self) -> int:
         return self.bn.shape[1]
 
-    def blocks(self, seed: int | None, members: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
-        """Outputs of ensemble members `members` of master seed `seed`
-        (noise off if seed is None), _CHUNK grid nodes at a time.
+    def blocks(self, seed: int | None, members: Sequence[int | None]) -> Iterator[tuple[int, np.ndarray]]:
+        """Outputs of ensemble members `members` of master seed `seed`,
+        _CHUNK grid nodes at a time.  A member None is the noise-free
+        twin: the same run with every measurement channel at zero, steps
+        as well as noise.  Twins must come before the other members.
 
         Yields (k0, y) with y[j, i] the outputs of member members[i] at
         node k0 + j; y is overwritten by the next block.  Raises
@@ -246,17 +252,25 @@ class _Prepared:
         of any member reaches DIVERGENCE_LIMIT.
         """
         n, R, nn = self.phi.shape[0], len(members), self.n_noise
+        realizations = [r for r in members if r is not None]
+        lo = R - len(realizations)  # rows :lo are twins
         rngs = []
-        if seed is not None and nn > 0:
-            rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in members]
+        if nn > 0:
+            rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in realizations]
         drive = self.u[:-1] @ self.gb.T  # row k: the input term of step k
         feed = self.u @ self.Dmat.T
+        twin_drive, twin_feed = drive, feed
+        nu = self.C.shape[0]  # the measurement channels follow the nu disturbance channels
+        if lo and self.u[:, nu:].any():
+            u = self.u.copy()
+            u[:, nu:] = 0.0
+            twin_drive, twin_feed = u[:-1] @ self.gb.T, u @ self.Dmat.T
         # Products run over whole buffers, so every BLAS call has the same
         # shape whatever the block.  Row 0 of x is the node before the
         # block.  The last block takes up to _CHUNK + 1 nodes: numpy routes
         # a one-row product to another BLAS routine, whose bits can differ.
         x = np.zeros((_CHUNK + 2, R, n))
-        w = np.zeros((R, _CHUNK + 1, nn))
+        w = np.zeros((len(rngs), _CHUNK + 1, nn))
         x[1] = self.x0
         npts = self.nsteps + 1
         k0 = 0
@@ -264,30 +278,25 @@ class _Prepared:
             rows = npts - k0 if npts - k0 <= _CHUNK + 1 else _CHUNK
             first = max(k0, 1)  # first node stepped in this block
             s, m = first - k0 + 1, k0 + rows - first  # its buffer row, the step count
-            x[s:rows + 1] = drive[first - 1:first - 1 + m, None, :]
+            x[s:rows + 1, :lo] = twin_drive[first - 1:first - 1 + m, None, :]
+            x[s:rows + 1, lo:] = drive[first - 1:first - 1 + m, None, :]
             if rngs:
                 for wr, rng in zip(w, rngs):
                     rng.standard_normal(out=wr[:m])
                 w[:, :m] *= self.noise_scale
                 for c, k_on in enumerate(self.noise_gate):
                     w[:, :min(max(k_on - first + 1, 0), m), c] = 0.0
-                noise = (w.reshape(-1, nn) @ self.bn.T).reshape(R, _CHUNK + 1, n)
-                x[s:rows + 1] += noise[:, :m].transpose(1, 0, 2)
+                noise = (w.reshape(-1, nn) @ self.bn.T).reshape(len(rngs), _CHUNK + 1, n)
+                x[s:rows + 1, lo:] += noise[:, :m].transpose(1, 0, 2)
             blow = _kernels.affine_path(self.phi, x[s - 1:rows + 1], DIVERGENCE_LIMIT)
             if blow >= 0:
                 raise SimulationDiverged((first - 1 + blow) * self.dt)
             y = (x[1:].reshape(-1, n) @ self.C.T).reshape(_CHUNK + 1, R, -1)[:rows]
-            y += feed[k0:k0 + rows, None, :]
+            y[:, :lo] += twin_feed[k0:k0 + rows, None, :]
+            y[:, lo:] += feed[k0:k0 + rows, None, :]
             yield k0, y
             x[0] = x[rows]
             k0 += rows
-
-    def outputs(self, seed: int | None, members: Sequence[int]) -> np.ndarray:
-        """Outputs at every node, indexed (node, member, agent)."""
-        y = np.empty((self.nsteps + 1, len(members), self.C.shape[0]))
-        for k0, block in self.blocks(seed, members):
-            y[k0:k0 + block.shape[0]] = block
-        return y
 
 
 def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
@@ -295,7 +304,10 @@ def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
     prep = _Prepared(loop, d, n, y0, dt, T)
     if prep.n_noise > 0:
         raise ValueError("integrate handles deterministic signals only")
-    return Trajectory(times=prep.times, outputs=prep.outputs(None, [0])[:, 0], dt=dt)
+    y = np.empty((prep.nsteps + 1, loop.nagents))
+    for k0, block in prep.blocks(None, [0]):
+        y[k0:k0 + block.shape[0]] = block[:, 0]
+    return Trajectory(times=prep.times, outputs=y, dt=dt)
 
 
 def member_seed(master_seed: int, realization: int) -> np.random.SeedSequence:
@@ -303,39 +315,19 @@ def member_seed(master_seed: int, realization: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(realization),))
 
 
-def ensemble_members(
-    loop, d, n, y0, dt: float, T: float, master_seed: int, realizations: Sequence[int]
-) -> list[Trajectory]:
-    """The exact trajectories that the given realizations contribute to
-    run_ensemble(master_seed, ...), stepped together.  Bit-reproducible
-    for a fixed (master_seed, realization, dt, T), whatever the other
-    members."""
-    prep = _Prepared(loop, d, n, y0, dt, T)
-    y = prep.outputs(master_seed, realizations)
-    return [Trajectory(times=prep.times, outputs=y[:, i], dt=dt) for i in range(y.shape[1])]
-
-
-def ensemble_member(
-    loop, d, n, y0, dt: float, T: float, master_seed: int, realization: int
-) -> Trajectory:
-    """The exact trajectory that realization `realization` contributes
-    to run_ensemble(master_seed, ...)."""
-    return ensemble_members(loop, d, n, y0, dt, T, master_seed, [realization])[0]
-
-
 @dataclass(frozen=True)
 class EnsembleStats:
     """Streaming ensemble statistics of one scalar output projection,
-    with member 0's trajectory as `sample`."""
+    the paths of the first members and the final mean output of the
+    noise-free twin."""
 
     times: np.ndarray
     count: int
-    projection: np.ndarray
     mean: np.ndarray
     variance: np.ndarray
     finals: np.ndarray
-    master_seed: int
-    sample: Trajectory
+    reference: float
+    paths: list[Trajectory]
 
     def drift_slope(self, window: tuple[float, float] | None = None) -> float:
         """Least-squares slope of the variance over [T/2, T] unless a
@@ -355,22 +347,25 @@ class EnsembleStats:
 
 def run_ensemble(
     loop, d, n, y0, dt: float, T: float, seed: int, realizations: int,
-    projection: np.ndarray,
+    projection: np.ndarray, keep: int = 1,
 ) -> EnsembleStats:
-    """Monte-Carlo ensemble of stochastic runs.
+    """Monte-Carlo ensemble of stochastic runs and their noise-free twin.
 
     Member r is driven by the stream member_seed(seed, r), so the merged
     statistics do not depend on evaluation order.  The variance is a
     Welford (1962) update of each member's deviation from member 0, so a
-    mean much larger than the spread does not cancel.  The members are
-    stepped together and the statistics updated one block of grid nodes
-    at a time; only member 0's whole path is kept, as the sample.  A
-    divergence is reported at the earliest grid time at which any
-    member's state crosses the limit, which does not depend on member
-    order either.
+    mean much larger than the spread does not cancel.  The twin, the
+    same run with every measurement channel at zero, is stepped with the
+    members, and the
+    statistics are updated one block of grid nodes at a time; only the
+    whole paths of members 0..keep-1 are kept.  A divergence is reported
+    at the earliest grid time at which any path, the twin's or a
+    member's, crosses the limit.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
+    if not 1 <= keep <= realizations:
+        raise ValueError("keep must be between 1 and the realization count")
     prep = _Prepared(loop, d, n, y0, dt, T)
     projection = np.asarray(projection, dtype=float).reshape(-1)
     if projection.size != loop.nagents:
@@ -379,14 +374,14 @@ def run_ensemble(
     mean = np.zeros(npts)  # running mean of z - z0
     m2 = np.zeros(npts)
     z0 = np.empty(npts)
-    sample = np.empty((npts, loop.nagents))
-    for k0, y in prep.blocks(seed, range(realizations)):
+    kept = np.empty((keep, npts, loop.nagents))
+    for k0, y in prep.blocks(seed, [None, *range(realizations)]):
         nodes = slice(k0, k0 + y.shape[0])
-        sample[nodes] = y[:, 0]
-        z0[nodes] = y[:, 0] @ projection
+        kept[:, nodes] = y[:, 1:keep + 1].transpose(1, 0, 2)
+        z0[nodes] = y[:, 1] @ projection
         mu, s2 = mean[nodes], m2[nodes]
         for r in range(realizations):
-            x = y[:, r] @ projection - z0[nodes]
+            x = y[:, r + 1] @ projection - z0[nodes]
             delta = x - mu
             mu += delta / (r + 1)
             s2 += delta * (x - mu)
@@ -394,12 +389,11 @@ def run_ensemble(
     return EnsembleStats(
         times=prep.times,
         count=realizations,
-        projection=projection,
         mean=z0 + mean,
         variance=variance,
-        finals=y[-1].copy(),
-        master_seed=int(seed),
-        sample=Trajectory(times=prep.times, outputs=sample, dt=dt),
+        finals=y[-1, 1:].copy(),
+        reference=float(np.mean(y[-1, 0])),
+        paths=[Trajectory(times=prep.times, outputs=path, dt=dt) for path in kept],
     )
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import warnings
 
@@ -9,7 +10,8 @@ from agreelab.cli import main
 from agreelab.config import ConfigError, ExperimentConfig
 from agreelab.graph import Graph, format_graph_text
 from agreelab.scenarios import load_scenario, run_scenario
-from agreelab.sim import SimulationDiverged, Trajectory, ensemble_member
+from agreelab.sim import SimulationDiverged, Trajectory, run_ensemble
+from test_sim import reference_member
 
 DART_EDGES = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4]]
 
@@ -51,6 +53,38 @@ def noisy_config(T=8.0):
     cfg["signals"]["n"] = {"kind": "white_noise", "intensity": 0.05, "onset": 1.0}
     cfg["sim"]["T"] = T
     return cfg
+
+
+def member_paths(cfg: ExperimentConfig, seed: int, realizations: int) -> list[np.ndarray]:
+    """Outputs of members 0..realizations-1 of a noisy configuration."""
+    stats = run_ensemble(
+        cfg.build_loop(), cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
+        seed=seed, realizations=realizations, projection=np.ones(cfg.graph.n), keep=realizations,
+    )
+    return [path.outputs for path in stats.paths]
+
+
+def diverging_config(y0, onset):
+    """A 2DOF loop whose network filter makes it unstable, with noise."""
+    cfg = base_config("twodof")
+    cfg["protocol"]["network_filter"] = {"num": [2.0], "den": [1.0, 1.0]}
+    cfg["signals"]["n"] = {"kind": "white_noise", "intensity": 0.05, "onset": onset}
+    cfg["sim"].update(T=40.0, y0=y0, seed=3)
+    return cfg
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_divergence_time(cfg_json: str, member: int | None) -> float:
+    """When member `member` of master seed sim.seed (None: the noise-free
+    twin), stepped alone by the per-member oracle, crosses the divergence
+    limit; inf if it never does."""
+    cfg = ExperimentConfig.from_dict(json.loads(cfg_json))
+    seed, n = (cfg.seed, cfg.signals_n) if member is not None else (None, [sim.SignalSpec.zero()] * cfg.graph.n)
+    try:
+        reference_member(cfg.build_loop(), cfg.signals_d, n, cfg.y0, cfg.dt, cfg.horizon, seed, member)
+    except SimulationDiverged as err:
+        return err.time
+    return np.inf
 
 
 def count_paths(monkeypatch) -> dict:
@@ -96,6 +130,25 @@ class TestConfigParsing:
         bad["sim"]["y0"] = [1.0, 2.0]
         with pytest.raises(ConfigError, match="y0"):
             ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"n": 5, "edges": [[1.7, 2]] + DART_EDGES[1:]},
+            {"n": 5, "edges": [[1, 2], ["1", 3]] + DART_EDGES[2:]},
+            {"n": 5, "edges": DART_EDGES[:2] + [[True, 4]] + DART_EDGES[3:]},
+            {"n": 5, "edges": DART_EDGES[:5] + [[2, 4.0]]},
+            {"n": True, "edges": []},
+        ],
+        ids=["float-endpoint", "string-endpoint", "bool-endpoint", "integral-float-endpoint", "bool-n"],
+    )
+    def test_non_integer_graph_is_config_error(self, tmp_path, capsys, graph):
+        cfg = base_config()
+        cfg["graph"] = graph
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", path, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith("config error: config.graph.")
+        assert not (tmp_path / "run").exists()
 
     def test_graph_from_file(self, tmp_path):
         g = Graph(3, [(1, 2), (2, 3)])
@@ -242,14 +295,7 @@ class TestSimulateCommand:
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert metrics["diverged_at_s"] > 0
 
-    @pytest.mark.parametrize("realizations", [3, 30])
-    def test_divergence_time_is_earliest_member(self, tmp_path, realizations):
-        # unstable loop from rest: the twin stays at zero and only the noise
-        # drives the members away, each at its own time
-        cfg = base_config("twodof")
-        cfg["protocol"]["network_filter"] = {"num": [2.0], "den": [1.0, 1.0]}
-        cfg["signals"]["n"] = {"kind": "white_noise", "intensity": 0.05, "onset": 1.0}
-        cfg["sim"].update(T=40.0, y0=[0.0] * 5, seed=3)
+    def diverged_at(self, tmp_path, cfg, realizations) -> float:
         path = write_config(tmp_path, cfg)
         out_dir = tmp_path / "div"
         with warnings.catch_warnings(record=True) as caught:
@@ -257,16 +303,43 @@ class TestSimulateCommand:
             rc = main(["simulate", path, "--out", str(out_dir), "--realizations", str(realizations)])
         assert rc == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        loaded = ExperimentConfig.from_dict(cfg)
-        loop = loaded.build_loop()
-        times = []
-        for r in range(realizations):
-            with pytest.raises(SimulationDiverged) as err:
-                ensemble_member(loop, loaded.signals_d, loaded.signals_n, loaded.y0, loaded.dt, loaded.horizon, 3, r)
-            times.append(err.value.time)
+        return json.loads((out_dir / "metrics.json").read_text())["diverged_at_s"]
+
+    @pytest.mark.parametrize("realizations", [3, 20, 30])
+    def test_divergence_time_is_earliest_member(self, tmp_path, realizations):
+        # unstable loop from rest: the twin stays at zero and only the noise
+        # drives the members away, each at its own time
+        cfg = diverging_config(y0=[0.0] * 5, onset=1.0)
+        key = json.dumps(cfg)
+        times = [oracle_divergence_time(key, r) for r in range(realizations)]
+        assert oracle_divergence_time(key, None) == np.inf
         assert np.argmin(times) != 0
+        assert self.diverged_at(tmp_path, cfg, realizations) == min(times)
+
+    def test_divergence_time_counts_the_twin(self, tmp_path):
+        # from a nonzero start the twin diverges too, but a member first
+        cfg = diverging_config(y0=base_config()["sim"]["y0"], onset=0.0)
+        key = json.dumps(cfg)
+        times = [oracle_divergence_time(key, r) for r in range(3)]
+        twin = oracle_divergence_time(key, None)
+        assert min(times) < twin < np.inf and np.argmin(times) != 0
+        assert self.diverged_at(tmp_path, cfg, 3) == min(times)
+
+    def test_twin_turns_measurement_steps_off(self, tmp_path):
+        # measurement channels that mix a step and noise: the disagreement
+        # is taken against the twin with every measurement channel at zero
+        cfg = noisy_config(T=2.0)
+        noise = cfg["signals"]["n"]
+        cfg["signals"]["n"] = [{"kind": "step", "amplitude": 0.3, "onset": 0.5}] + [noise] * 4
+        out_dir = tmp_path / "mixed"
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out_dir), "--realizations", "2"]) == 0
+        c = ExperimentConfig.from_dict(cfg)
+        twin = reference_member(
+            c.build_loop(), c.signals_d, [sim.SignalSpec.zero()] * 5, c.y0, c.dt, c.horizon, None, 0
+        )
+        member = member_paths(c, c.seed, 1)[0]
         metrics = json.loads((out_dir / "metrics.json").read_text())
-        assert metrics["diverged_at_s"] == min(times)
+        assert metrics["disagreement_norm_at_2"] == float(np.linalg.norm(member[-1] - np.mean(twin[-1])))
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = base_config("classic")
@@ -293,20 +366,36 @@ class TestSimulateCommand:
         assert counts["streams"] == list(range(30))
         assert counts["member_steps"] == 31 * 2000
 
+    def test_mid_size_ensemble_integrates_every_member(self, tmp_path, monkeypatch):
+        # between the CSV and the drift-slope sizes: still the twin and all R members
+        path = write_config(tmp_path, noisy_config(T=2.0))
+        counts = count_paths(monkeypatch)
+        assert main(["simulate", path, "--out", str(tmp_path / "o"), "--realizations", "20"]) == 0
+        assert counts["streams"] == list(range(20))
+        assert counts["member_steps"] == 21 * 2000
+
     def test_trajectory_files_are_ensemble_members(self, tmp_path):
         cfg = noisy_config(T=2.0)
         path = write_config(tmp_path, cfg)
         out_dir = tmp_path / "members"
         assert main(["simulate", path, "--out", str(out_dir), "--realizations", "3", "--seed", "4"]) == 0
-        loaded = ExperimentConfig.from_dict(cfg)
-        loop = loaded.build_loop()
-        for r in range(3):
-            member = ensemble_member(
-                loop, loaded.signals_d, loaded.signals_n, loaded.y0, loaded.dt, loaded.horizon, 4, r
-            )
+        members = member_paths(ExperimentConfig.from_dict(cfg), 4, 3)
+        for r, member in enumerate(members):
             traj = Trajectory.read_csv(out_dir / f"trajectory_r{r:03d}.csv")
-            assert np.array_equal(traj.outputs, member.outputs)
+            assert np.array_equal(traj.outputs, member)
         assert not (out_dir / "trajectory_r003.csv").exists()
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, noisy):
+        cfg = noisy_config() if noisy else base_config()
+        out_dir = tmp_path / "run"
+        cfg["sim"]["seed"] = -1
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("config error: config.sim.seed:")
+        cfg["sim"]["seed"] = 0
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out_dir), "--seed", "-1"]) == 1
+        assert "config error: cli: argument --seed:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("noisy", [True, False])
     def test_zero_realizations_is_config_error(self, tmp_path, capsys, noisy):
@@ -412,6 +501,13 @@ class TestReproduceCommand:
         assert main(["reproduce", "nominal", "--out", str(tmp_path / "r"), "--realizations", "0"]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["noise", "nominal"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, scenario):
+        out_dir = tmp_path / "r"
+        assert main(["reproduce", scenario, "--out", str(out_dir), "--seed", "-1"]) == 1
+        assert "config error: cli: argument --seed:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_noise_runs_twin_and_member_zero_only(self, tmp_path, monkeypatch):
         counts = count_paths(monkeypatch)
         run_scenario("noise", tmp_path / "noise", realizations=1)
@@ -423,11 +519,8 @@ class TestReproduceCommand:
         out_dir = tmp_path / "noise"
         assert main(["reproduce", "noise", "--out", str(out_dir), "--realizations", "1", "--seed", "8"]) == 0
         for proto, cfg in load_scenario("noise").items():
-            member = ensemble_member(
-                cfg.build_loop(), cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon, 8, 0
-            )
             traj = Trajectory.read_csv(out_dir / f"noise_{proto}.csv")
-            assert np.array_equal(traj.outputs, member.outputs)
+            assert np.array_equal(traj.outputs, member_paths(cfg, 8, 1)[0])
 
 
 def test_cli_usage_error_is_config_exit():

@@ -22,8 +22,6 @@ from agreelab.sim import (
     SimulationDiverged,
     Trajectory,
     _Prepared,
-    ensemble_member,
-    ensemble_members,
     integrate,
     member_seed,
     rk4_transition,
@@ -78,14 +76,26 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization):
     return out @ p.C.T + p.u @ p.Dmat.T
 
 
+def stepped(loop, d, n, y0, dt, T, seed, members):
+    """Outputs (node, member, agent) of `members` of master seed `seed`
+    stepped together by the engine; a member None is the noise-free twin."""
+    p = _Prepared(loop, d, n, y0, dt, T)
+    y = np.empty((p.nsteps + 1, len(members), loop.nagents))
+    for k0, block in p.blocks(seed, members):
+        y[k0:k0 + block.shape[0]] = block
+    return y
+
+
 def reference_ensemble(loop, d, n, y0, dt, T, seed, realizations, projection):
-    """(mean, variance, finals, sample) of members stepped one at a time,
+    """(mean, variance, finals, paths) of members stepped one at a time,
     merged by the Welford update of each member's deviation from member 0."""
+    paths = []
     for r in range(realizations):
         y = reference_member(loop, d, n, y0, dt, T, seed, r)
+        paths.append(y)
         z = y @ projection
         if r == 0:
-            sample, z0 = y, z
+            z0 = z
             mean, m2 = np.zeros_like(z), np.zeros_like(z)
             finals = np.empty((realizations, y.shape[1]))
         x = z - z0
@@ -93,7 +103,7 @@ def reference_ensemble(loop, d, n, y0, dt, T, seed, realizations, projection):
         mean += delta / (r + 1)
         m2 += delta * (x - mean)
         finals[r] = y[-1]
-    return z0 + mean, m2 / max(realizations - 1, 1), finals, sample
+    return z0 + mean, m2 / max(realizations - 1, 1), finals, paths
 
 
 class TestSignalSpec:
@@ -171,18 +181,17 @@ class TestStochasticIntegration:
     def test_bitwise_determinism(self):
         loop = consensus_loop()
         spec = [SignalSpec.white_noise(0.1, onset=1.0)] * 5
-        a = ensemble_member(loop, ZERO, spec, [1, 0, 0, 0, -1.0], 1e-3, 5.0, 42, 3)
-        b = ensemble_member(loop, ZERO, spec, [1, 0, 0, 0, -1.0], 1e-3, 5.0, 42, 3)
-        assert np.array_equal(a.outputs, b.outputs)
+        a = stepped(loop, ZERO, spec, [1, 0, 0, 0, -1.0], 1e-3, 5.0, 42, [3])
+        b = stepped(loop, ZERO, spec, [1, 0, 0, 0, -1.0], 1e-3, 5.0, 42, [3])
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         loop = scalar_loop(-1.0)
         spec = SignalSpec.white_noise(1.0)
-        a = ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 2.0, 1, 0)
-        b = ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 2.0, 2, 0)
-        c = ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 2.0, 1, 1)
-        assert not np.array_equal(a.outputs, b.outputs)
-        assert not np.array_equal(a.outputs, c.outputs)
+        a, c = stepped(loop, ZERO, spec, [0.0], 1e-2, 2.0, 1, [0, 1]).transpose(1, 0, 2)
+        b = stepped(loop, ZERO, spec, [0.0], 1e-2, 2.0, 2, [0])[:, 0]
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_ou_stationary_variance(self):
         # xdot = -x + white noise of intensity sigma^2: Var -> sigma^2/2
@@ -197,25 +206,20 @@ class TestStochasticIntegration:
 
     def test_onset_gating(self):
         loop = scalar_loop(0.0)
-        traj = ensemble_member(
-            loop, ZERO, SignalSpec.white_noise(1.0, onset=2.0), [0.0], 1e-2, 4.0, 3, 0
-        )
-        before = traj.outputs[traj.times <= 2.0]
-        assert np.max(np.abs(before)) == 0.0
-        assert np.max(np.abs(traj.outputs[-1])) > 0.0
+        y = stepped(loop, ZERO, SignalSpec.white_noise(1.0, onset=2.0), [0.0], 1e-2, 4.0, 3, [0])[:, 0]
+        assert np.max(np.abs(y[:201])) == 0.0  # nodes t <= 2.0
+        assert np.max(np.abs(y[-1])) > 0.0
 
     def test_ensemble_member_matches_streaming_stats(self):
         loop = scalar_loop(-0.5)
         spec = SignalSpec.white_noise(1.0)
         R = 40
         stats = run_ensemble(loop, ZERO, spec, [0.0], 1e-2, 5.0, seed=9, realizations=R, projection=[1.0])
-        members = [
-            ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 5.0, 9, r) for r in range(R)
-        ]
-        z = np.stack([m.outputs[:, 0] for m in members])
+        members = stepped(loop, ZERO, spec, [0.0], 1e-2, 5.0, 9, range(R))
+        z = members[:, :, 0].T
         assert np.allclose(z.var(axis=0, ddof=1), stats.variance, atol=1e-12)
         assert np.allclose(z[:, -1], stats.finals[:, 0])
-        assert np.array_equal(stats.sample.outputs, members[0].outputs)
+        assert np.array_equal(stats.paths[0].outputs, members[:, 0])
 
     def test_variance_stable_when_mean_dominates(self):
         # a mean of 1e8 against a spread of ~1e-3 cancels s2 - R mean^2
@@ -223,7 +227,7 @@ class TestStochasticIntegration:
         spec = SignalSpec.white_noise(1e-6)
         R = 40
         stats = run_ensemble(loop, ZERO, spec, [1e8], 1e-2, 2.0, seed=0, realizations=R, projection=[1.0])
-        z = np.stack([ensemble_member(loop, ZERO, spec, [1e8], 1e-2, 2.0, 0, r).outputs[:, 0] for r in range(R)])
+        z = stepped(loop, ZERO, spec, [1e8], 1e-2, 2.0, 0, range(R))[:, :, 0].T
         assert stats.variance[-1] == pytest.approx(z[:, -1].var(ddof=1), rel=1e-9)
 
 
@@ -235,11 +239,13 @@ class TestBatchedEngine:
     DT = 1e-2
 
     def signals(self, nagents, onset_node):
-        # a step and white noise mixed; noise channel 0 starts at onset_node,
-        # the others inside the first block
+        # steps and white noise mixed; noise channel 0 starts at onset_node,
+        # the others inside the first block; with more than one agent the
+        # last measurement channel is a step, which the twin turns off too
         d = [SignalSpec.step(0.7, onset=150 * self.DT)] + [ZERO] * (nagents - 1)
         n = [SignalSpec.white_noise(0.3, onset=onset_node * self.DT)]
-        n += [SignalSpec.white_noise(0.2, onset=37 * self.DT)] * (nagents - 1)
+        n += [SignalSpec.white_noise(0.2, onset=37 * self.DT)] * (nagents - 2)
+        n += [SignalSpec.step(-0.4, onset=90 * self.DT)] * (nagents > 1)
         return d, n
 
     @pytest.mark.parametrize("onset_node", [37, _CHUNK], ids=["onset-inside", "onset-boundary"])
@@ -254,27 +260,39 @@ class TestBatchedEngine:
         y0 = np.linspace(1.0, -0.5, nu)
         projection = np.full(nu, 1.0 / nu)
         T = nsteps * self.DT
-        stats = run_ensemble(loop, d, n, y0, self.DT, T, seed=5, realizations=realizations, projection=projection)
-        mean, variance, finals, sample = reference_ensemble(loop, d, n, y0, self.DT, T, 5, realizations, projection)
+        stats = run_ensemble(
+            loop, d, n, y0, self.DT, T, seed=5, realizations=realizations,
+            projection=projection, keep=realizations,
+        )
+        mean, variance, finals, paths = reference_ensemble(loop, d, n, y0, self.DT, T, 5, realizations, projection)
         assert np.array_equal(stats.mean, mean)
         assert np.array_equal(stats.variance, variance)
         assert np.array_equal(stats.finals, finals)
-        assert np.array_equal(stats.sample.outputs, sample)
-        last = realizations - 1
-        member = ensemble_member(loop, d, n, y0, self.DT, T, 5, last)
-        assert np.array_equal(member.outputs, reference_member(loop, d, n, y0, self.DT, T, 5, last))
+        assert len(stats.paths) == realizations
+        for got, want in zip(stats.paths, paths):
+            assert np.array_equal(got.outputs, want)
+        # the twin: the same run with every measurement channel at zero
         zero = [ZERO] * nu
         path = integrate(loop, d, zero, y0, self.DT, T)
         assert np.array_equal(path.outputs, reference_member(loop, d, zero, y0, self.DT, T, None, 0))
+        assert stats.reference == float(np.mean(path.outputs[-1]))
+
+    @pytest.mark.parametrize("keep", [0, 4])
+    def test_keep_out_of_range_rejected(self, keep):
+        with pytest.raises(ValueError, match="keep"):
+            run_ensemble(
+                self.LOOPS[1], ZERO, SignalSpec.white_noise(1.0), [0.0], self.DT, 1.0,
+                seed=0, realizations=3, projection=[1.0], keep=keep,
+            )
 
     def test_member_paths_do_not_depend_on_company(self):
         loop = self.LOOPS[5]
         d, n = self.signals(5, 37)
         T = (2 * _CHUNK + 3) * self.DT
-        together = ensemble_members(loop, d, n, np.ones(5), self.DT, T, 8, [4, 0, 2])
-        for r, traj in zip([4, 0, 2], together):
-            alone = ensemble_member(loop, d, n, np.ones(5), self.DT, T, 8, r)
-            assert np.array_equal(traj.outputs, alone.outputs)
+        together = stepped(loop, d, n, np.ones(5), self.DT, T, 8, [None, 4, 0, 2])
+        for i, r in enumerate([None, 4, 0, 2]):
+            alone = stepped(loop, d, n, np.ones(5), self.DT, T, 8, [r])
+            assert np.array_equal(together[:, i], alone[:, 0])
 
     def test_divergence_is_earliest_over_members(self):
         # unstable, zero initial state: only the noise drives the members away
@@ -336,8 +354,7 @@ class TestMetrics:
         spec = SignalSpec.white_noise(1.0)
         R = 60
         stats = run_ensemble(loop, ZERO, spec, [0.0], 1e-2, 10.0, seed=2, realizations=R, projection=[1.0])
-        members = [ensemble_member(loop, ZERO, spec, [0.0], 1e-2, 10.0, 2, r) for r in range(R)]
-        variance = np.stack([m.outputs[:, 0] for m in members]).var(axis=0, ddof=1)
+        variance = stepped(loop, ZERO, spec, [0.0], 1e-2, 10.0, 2, range(R))[:, :, 0].var(axis=1, ddof=1)
         late = stats.times >= 5.0 - 1e-12
         slope = np.polyfit(stats.times[late], variance[late], 1)[0]
         assert slope == pytest.approx(stats.drift_slope(), rel=1e-9)
@@ -434,7 +451,7 @@ class TestKernelBackends:
         d = [SignalSpec.step(0.7, onset=0.5), SignalSpec.step(-1.2, onset=1.0)]
         n = [SignalSpec.white_noise(0.3, onset=0.2), SignalSpec.white_noise(0.05)]
         y0 = np.array([1.0, -0.5])
-        got = ensemble_member(loop, d, n, y0, dt, T, seed, member).outputs
+        got = stepped(loop, d, n, y0, dt, T, seed, [member])[:, 0]
 
         nsteps = int(round(T / dt))
         phi, gamma = rk4_transition(A, dt)
