@@ -28,9 +28,10 @@ def affine_path(phi, out, limit):
     magnitude of any member is >= `limit` or NaN; rows after it hold
     whatever the overflow left.
     """
+    rows = list(out[:, :, :, None])  # (members, n, 1) views, one per row
     with np.errstate(all="ignore"):
-        for k in range(1, out.shape[0]):
-            out[k] += np.matmul(phi, out[k - 1][:, :, None])[:, :, 0]
+        for prev, row in zip(rows, rows[1:]):
+            row += np.matmul(phi, prev)
         peak = np.abs(out[1:]).max(axis=(1, 2))
     bad = np.flatnonzero(~(peak < limit))
     return int(bad[0]) + 1 if bad.size else -1

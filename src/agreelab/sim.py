@@ -22,6 +22,11 @@ R + 1 paths.  A path
 has the same bits as when it is stepped alone over the whole horizon,
 whatever the other members, as far as BLAS gives each row of a product
 the same bits at any row count.
+
+A run's memory is its outputs plus O(_CHUNK x members x states): no
+input table spans the horizon.  Each channel's step input is kept as an
+onset node and an amplitude, and `_Prepared.inputs` builds the drive and
+feedthrough of one block's nodes at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ DIVERGENCE_LIMIT = 1e9
 # Grid nodes per block: the noise draws, the divergence test and the
 # ensemble statistics run once per block, not once per step.
 _CHUNK = 256
+
+# Trajectory CSV rows formatted per write: bounded, so the text of a long
+# run is never held whole.
+_CSV_ROWS = 1024
 
 
 class SimulationDiverged(RuntimeError):
@@ -129,12 +138,15 @@ class Trajectory:
         return k
 
     def write_csv(self, path: str | Path) -> None:
+        """CRLF rows of every value as %.17g, which reads back bit for bit;
+        one % operation formats a block of _CSV_ROWS rows."""
         header = ",".join(["t"] + [f"y{i + 1}" for i in range(self.nagents)])
+        row = ",".join(["%.17g"] * (self.nagents + 1)) + "\r\n"
         with Path(path).open("w", newline="") as fh:
-            np.savetxt(
-                fh, np.column_stack([self.times, self.outputs]), fmt="%.17g",
-                delimiter=",", newline="\r\n", header=header, comments="",
-            )
+            fh.write(header + "\r\n")
+            for k in range(0, self.times.size, _CSV_ROWS):
+                block = np.column_stack([self.times[k:k + _CSV_ROWS], self.outputs[k:k + _CSV_ROWS]])
+                fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
     @staticmethod
     def read_csv(path: str | Path) -> "Trajectory":
@@ -177,21 +189,17 @@ def _onset_index(onset: float, dt: float, nsteps: int) -> int:
     return min(max(k, 0), nsteps)
 
 
-def _step_table(specs: Sequence[SignalSpec], dt: float, nsteps: int) -> np.ndarray:
-    """Input samples at every node, step channels only; row k also holds
-    the constant input over the interval that starts at node k."""
-    u = np.zeros((nsteps + 1, len(specs)))
-    for c, s in enumerate(specs):
-        if s.kind == "step":
-            u[_onset_index(s.onset, dt, nsteps):, c] = s.amplitude
-    return u
-
-
 class _Prepared:
-    """Precomputed integration tables shared across ensemble members."""
+    """Integration tables shared by the members of a run.
+
+    Nothing here grows with the step count but `times`: each channel's
+    step input is kept as its onset node and amplitude, and `blocks`
+    builds one block's inputs from them at a time.  A run's memory is
+    its outputs plus O(_CHUNK x members x states).
+    """
 
     __slots__ = (
-        "phi", "gb", "x0", "C", "Dmat", "u", "bn", "noise_scale",
+        "phi", "gb", "x0", "C", "Dmat", "onset", "amp", "bn", "noise_scale",
         "noise_gate", "dt", "nsteps", "times",
     )
 
@@ -224,14 +232,13 @@ class _Prepared:
         self.x0 = loop.x0_map @ y0
         self.C = sys.C
         self.Dmat = sys.D
-        self.u = _step_table(specs, dt, nsteps)
+        # a step channel's input is amp from node onset on; a noise
+        # channel's increments are gated by its onset node the same way
+        self.onset = np.array([_onset_index(s.onset, dt, nsteps) for s in specs], dtype=np.int64)
+        self.amp = np.array([s.amplitude if s.kind == "step" else 0.0 for s in specs])
         self.bn = sys.B[:, white]
-        scale = np.array([np.sqrt(s.intensity * dt) for s in specs if s.is_stochastic])
-        self.noise_scale = scale
-        self.noise_gate = np.array(
-            [_onset_index(s.onset, dt, nsteps) for s in specs if s.is_stochastic],
-            dtype=np.int64,
-        )
+        self.noise_scale = np.array([np.sqrt(s.intensity * dt) for s in specs if s.is_stochastic])
+        self.noise_gate = self.onset[white]
         self.dt = dt
         self.nsteps = nsteps
         self.times = np.arange(nsteps + 1) * dt
@@ -239,6 +246,19 @@ class _Prepared:
     @property
     def n_noise(self) -> int:
         return self.bn.shape[1]
+
+    def inputs(self, k0: int, amp: np.ndarray, last=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, drive, feed) of nodes k0 - 1 ... k0 + _CHUNK under the step
+        levels `amp`, row j for node k0 - 1 + j: the input, the input term
+        of the step that leaves the node, and the input's direct
+        feedthrough at it.  The products have the same shape in every
+        block, so a node's row has the same bits in whichever block it
+        falls, and `last`, an earlier block's result, is returned as it is
+        when its inputs are this block's: most blocks hold no onset."""
+        u = np.where(np.arange(k0 - 1, k0 + _CHUNK + 1)[:, None] >= self.onset, amp, 0.0)
+        if last is not None and np.array_equal(u, last[0]):
+            return last
+        return u, u @ self.gb.T, u @ self.Dmat.T
 
     def blocks(self, seed: int | None, members: Sequence[int | None]) -> Iterator[tuple[int, np.ndarray]]:
         """Outputs of ensemble members `members` of master seed `seed`,
@@ -257,14 +277,13 @@ class _Prepared:
         rngs = []
         if nn > 0:
             rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in realizations]
-        drive = self.u[:-1] @ self.gb.T  # row k: the input term of step k
-        feed = self.u @ self.Dmat.T
-        twin_drive, twin_feed = drive, feed
+        levels = [(slice(0, R), self.amp)]  # (member rows, their step levels)
         nu = self.C.shape[0]  # the measurement channels follow the nu disturbance channels
-        if lo and self.u[:, nu:].any():
-            u = self.u.copy()
-            u[:, nu:] = 0.0
-            twin_drive, twin_feed = u[:-1] @ self.gb.T, u @ self.Dmat.T
+        if lo and self.amp[nu:].any():
+            twin = self.amp.copy()
+            twin[nu:] = 0.0
+            levels = [(slice(0, lo), twin), (slice(lo, R), self.amp)]
+        last = [None] * len(levels)  # each level's inputs in the block before
         # Products run over whole buffers, so every BLAS call has the same
         # shape whatever the block.  Row 0 of x is the node before the
         # block.  The last block takes up to _CHUNK + 1 nodes: numpy routes
@@ -278,8 +297,11 @@ class _Prepared:
             rows = npts - k0 if npts - k0 <= _CHUNK + 1 else _CHUNK
             first = max(k0, 1)  # first node stepped in this block
             s, m = first - k0 + 1, k0 + rows - first  # its buffer row, the step count
-            x[s:rows + 1, :lo] = twin_drive[first - 1:first - 1 + m, None, :]
-            x[s:rows + 1, lo:] = drive[first - 1:first - 1 + m, None, :]
+            feeds = []
+            for i, (members_of, amp) in enumerate(levels):
+                last[i] = _, drive, feed = self.inputs(k0, amp, last[i])
+                x[s:rows + 1, members_of] = drive[s - 1:rows, None, :]
+                feeds.append((members_of, feed[1:rows + 1, None, :]))
             if rngs:
                 for wr, rng in zip(w, rngs):
                     rng.standard_normal(out=wr[:m])
@@ -292,8 +314,8 @@ class _Prepared:
             if blow >= 0:
                 raise SimulationDiverged((first - 1 + blow) * self.dt)
             y = (x[1:].reshape(-1, n) @ self.C.T).reshape(_CHUNK + 1, R, -1)[:rows]
-            y[:, :lo] += twin_feed[k0:k0 + rows, None, :]
-            y[:, lo:] += feed[k0:k0 + rows, None, :]
+            for members_of, feed in feeds:
+                y[:, members_of] += feed
             yield k0, y
             x[0] = x[rows]
             k0 += rows
@@ -385,12 +407,13 @@ def run_ensemble(
             delta = x - mu
             mu += delta / (r + 1)
             s2 += delta * (x - mu)
-    variance = m2 / max(realizations - 1, 1)  # m2 is zero for one member
+    mean += z0
+    m2 /= max(realizations - 1, 1)  # the variance; m2 is zero for one member
     return EnsembleStats(
         times=prep.times,
         count=realizations,
-        mean=z0 + mean,
-        variance=variance,
+        mean=mean,
+        variance=m2,
         finals=y[-1, 1:].copy(),
         reference=float(np.mean(y[-1, 0])),
         paths=[Trajectory(times=prep.times, outputs=path, dt=dt) for path in kept],

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from agreelab.protocol import (
 )
 from agreelab.sim import (
     _CHUNK,
+    _CSV_ROWS,
     DIVERGENCE_LIMIT,
     SignalSpec,
     SimulationDiverged,
@@ -52,15 +54,41 @@ def twodof_loop():
     return build_2dof(DART, agents, TwoDofConfig(make_filter(FilterParams(3.0, 5.0, 2.0))))
 
 
+def feedthrough_loop():
+    """Random stable 7-state loop of 3 agents whose every input channel
+    feeds through to the outputs."""
+    rng = np.random.default_rng(23)
+    A = rng.normal(size=(7, 7))
+    A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(7)
+    sys = StateSpace(A, rng.normal(size=(7, 6)), rng.normal(size=(3, 7)), rng.normal(size=(3, 6)))
+    return ClosedLoop(sys, x0_map=rng.normal(size=(7, 3)), nagents=3)
+
+
+def step_table(loop, d, n, dt, T):
+    """Step inputs at every node, disturbance channels then measurement
+    channels, built from the specs: a step channel holds its amplitude
+    from the node nearest its onset on (clamped to the horizon), and row
+    k is also the input over the interval that starts at node k."""
+    nu, nsteps = loop.nagents, int(round(T / dt))
+    specs = [[s] * nu if isinstance(s, SignalSpec) else list(s) for s in (d, n)]
+    u = np.zeros((nsteps + 1, 2 * nu))
+    for c, s in enumerate(specs[0] + specs[1]):
+        if s.kind == "step":
+            u[min(int(round(s.onset / dt)), nsteps):, c] = s.amplitude
+    return u
+
+
 def reference_member(loop, d, n, y0, dt, T, seed, realization):
     """Outputs of one member stepped alone over the whole horizon, as the
     engine did before it stepped members together: x <- phi x + gb u_k +
-    bn w_k, one matrix-vector product and one divergence test per step;
-    the noise stays off when seed is None."""
+    bn w_k, one matrix-vector product and one divergence test per step,
+    the inputs of every node formed by one product over the dense step
+    table; the noise stays off when seed is None."""
     p = _Prepared(loop, d, n, y0, dt, T)
+    u = step_table(loop, d, n, dt, T)
     out = np.empty((p.nsteps + 1, p.phi.shape[0]))
     out[0] = p.x0
-    np.matmul(p.u[:-1], p.gb.T, out=out[1:])
+    np.matmul(u[:-1], p.gb.T, out=out[1:])
     if seed is not None:
         rng = np.random.Generator(np.random.Philox(member_seed(seed, realization)))
         w = rng.standard_normal((p.nsteps, p.n_noise))
@@ -73,7 +101,7 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization):
         x += p.phi @ out[k - 1]
         if not np.all(np.abs(x) < DIVERGENCE_LIMIT):
             raise SimulationDiverged(k * p.dt)
-    return out @ p.C.T + p.u @ p.Dmat.T
+    return out @ p.C.T + u @ p.Dmat.T
 
 
 def stepped(loop, d, n, y0, dt, T, seed, members):
@@ -311,6 +339,90 @@ class TestBatchedEngine:
         assert err.value.time == min(times)
 
 
+class TestBlockInputs:
+    """Each block's drive and feedthrough against the dense step table,
+    at every node; onsets at the horizon's edges and on block boundaries."""
+
+    DT = 1e-2
+    NSTEPS = 3 * _CHUNK + 5
+
+    def signals(self, onset_node):
+        # channel 0 of each bank steps at onset_node; the others at node
+        # 0, on a block boundary and past the horizon (clamped)
+        dt = self.DT
+        d = [SignalSpec.step(0.7, onset_node * dt), SignalSpec.step(-1.2, 0.0), ZERO]
+        n = [SignalSpec.step(-0.4, onset_node * dt), SignalSpec.step(0.25, _CHUNK * dt),
+             SignalSpec.step(2.0, (self.NSTEPS + 40) * dt)]
+        return d, n
+
+    @pytest.mark.parametrize("onset_node", [0, _CHUNK, _CHUNK + 1, NSTEPS, NSTEPS + 40])
+    def test_inputs_match_dense_table_at_every_node(self, onset_node):
+        loop = feedthrough_loop()
+        d, n = self.signals(onset_node)
+        T = self.NSTEPS * self.DT
+        p = _Prepared(loop, d, n, np.ones(3), self.DT, T)
+        u = step_table(loop, d, n, self.DT, T)
+        drive, feed = u[:-1] @ p.gb.T, u @ p.Dmat.T
+        assert np.all(feed[-1] != feed[0])  # the steps switch on in the horizon
+        seen = np.zeros(self.NSTEPS + 1, dtype=bool)
+        last = None  # reused by the next block when its inputs are the same
+        for k0 in range(0, self.NSTEPS + 1, _CHUNK):
+            last = _, got_drive, got_feed = p.inputs(k0, p.amp, last)
+            nodes = np.arange(max(k0 - 1, 0), min(k0 + _CHUNK, self.NSTEPS) + 1)  # row j: node k0 - 1 + j
+            assert np.array_equal(got_feed[nodes - k0 + 1], feed[nodes])
+            left = nodes[nodes < self.NSTEPS]  # nodes a step leaves
+            assert np.array_equal(got_drive[left - k0 + 1], drive[left])
+            seen[nodes] = True
+        assert seen.all()
+
+    @pytest.mark.parametrize("onset_node", [0, _CHUNK + 1, NSTEPS])
+    def test_twin_turns_measurement_steps_off(self, onset_node):
+        loop = feedthrough_loop()
+        d, n = self.signals(onset_node)
+        y0, T = np.array([1.0, -0.5, 0.25]), self.NSTEPS * self.DT
+        twin, member = stepped(loop, d, n, y0, self.DT, T, None, [None, 0]).transpose(1, 0, 2)
+        assert np.array_equal(twin, reference_member(loop, d, [ZERO] * 3, y0, self.DT, T, None, 0))
+        assert np.array_equal(member, reference_member(loop, d, n, y0, self.DT, T, None, 0))
+        assert not np.array_equal(twin[-1], member[-1])
+
+
+class TestMemory:
+    """A run holds its outputs and O(_CHUNK x members x states) more,
+    however long the horizon: the 30-state 2DOF loop over 60,000 steps."""
+
+    SLACK = 2 * 2**20  # bytes
+
+    def traced_peak(self, run):
+        run(0.1)  # first-call imports are not the run's memory
+        tracemalloc.start()
+        try:
+            result = run(60.0)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def signals(self):
+        d = [SignalSpec.step(0.5, onset=10.0)] + [ZERO] * 4
+        return d, [SignalSpec.white_noise(0.01, onset=1.0)] * 5
+
+    def test_integrate_peak(self):
+        loop = twodof_loop()
+        d, _ = self.signals()
+        traj, peak = self.traced_peak(lambda T: integrate(loop, d, ZERO, np.linspace(1, -1, 5), 1e-3, T))
+        assert traj.outputs.shape == (60_001, 5)
+        assert peak < traj.outputs.nbytes + traj.times.nbytes + self.SLACK
+
+    def test_run_ensemble_peak(self):
+        loop = twodof_loop()
+        d, n = self.signals()
+        stats, peak = self.traced_peak(lambda T: run_ensemble(
+            loop, d, n, np.linspace(1, -1, 5), 1e-3, T, seed=3, realizations=3,
+            projection=np.full(5, 0.2), keep=1,
+        ))
+        kept = stats.times.nbytes + stats.mean.nbytes + stats.variance.nbytes + stats.paths[0].outputs.nbytes
+        assert peak < kept + self.SLACK
+
+
 class TestMetrics:
     def test_settling_constant_trajectory(self):
         t = np.arange(11) * 0.1
@@ -388,17 +500,20 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="'t' column"):
             Trajectory.read_csv(path)
 
-    def test_bytes_match_csv_writer(self, tmp_path):
-        outputs = np.array([
-            [-0.0, 5e-324, 1e300],
-            [0.1 + 0.2, 1.0 / 3.0, -2.0 ** -1074],
-            [np.nextafter(1.0, 2.0), -1e-300, 123456789.12345679],
-        ])
-        traj = Trajectory(times=np.array([0.0, 0.1, 0.2]), outputs=outputs, dt=0.1)
+    SPECIAL = np.array([
+        [-0.0, 5e-324, 1e300],
+        [0.1 + 0.2, 1.0 / 3.0, -2.0 ** -1074],
+        [np.nextafter(1.0, 2.0), -1e-300, 123456789.12345679],
+    ])
+
+    def assert_written_as_csv_writer(self, tmp_path, outputs):
+        """write_csv gives the bytes of csv.writer with %.17g values, and
+        reads back bit for bit."""
+        traj = Trajectory(times=np.arange(outputs.shape[0]) * 0.1, outputs=outputs, dt=0.1)
         ref = tmp_path / "ref.csv"
         with ref.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", "y1", "y2", "y3"])
+            writer.writerow(["t"] + [f"y{i + 1}" for i in range(outputs.shape[1])])
             for t, row in zip(traj.times, outputs):
                 writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
         path = tmp_path / "traj.csv"
@@ -406,7 +521,15 @@ class TestTrajectoryCsv:
         assert path.read_bytes() == ref.read_bytes()
         back = Trajectory.read_csv(path)
         assert np.array_equal(back.outputs, outputs)
-        assert np.signbit(back.outputs[0, 0])
+        assert np.array_equal(np.signbit(back.outputs), np.signbit(outputs))
+        assert np.array_equal(back.times, traj.times)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        self.assert_written_as_csv_writer(tmp_path, self.SPECIAL)
+
+    @pytest.mark.parametrize("rows", [_CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1])
+    def test_bytes_match_csv_writer_across_write_blocks(self, tmp_path, rows):
+        self.assert_written_as_csv_writer(tmp_path, np.resize(self.SPECIAL, (rows, 3)))
 
     def test_read_accepts_lf_and_trailing_blank_line(self, tmp_path):
         path = tmp_path / "lf.csv"
