@@ -148,9 +148,64 @@ def modal_transform(g: Graph) -> ModalData:
 # -- spectrum-based graph recovery -------------------------------------
 
 
-# masks built and solved per batched eigvalsh call; at n = 6 a block of 4096
-# adds 3.7 MB of peak memory against 0.25 MB at 512, and is no faster
+# candidates solved per batched eigvalsh call
 _BLOCK = 512
+# relabelled masks formed per block of _orbit_min: 2 MB of float64, so an
+# n = 8 block is 6 masks against the 40,320 relabellings
+_IMAGES = 1 << 18
+
+
+def _pair_bits(n: int) -> np.ndarray:
+    """bit[i, j]: the mask bit of the pair {i, j} on n nodes, 0 on the
+    diagonal; the pairs (0,1), (0,2), ..., (n-2,n-1) take bits 0, 1, ..."""
+    rows, cols = np.triu_indices(n, 1)
+    bit = np.zeros((n, n), dtype=np.int64)
+    bit[rows, cols] = bit[cols, rows] = 1 << np.arange(rows.size)
+    return bit
+
+
+def _extend(masks: np.ndarray, m: int) -> np.ndarray:
+    """Masks on m + 1 nodes: every graph of masks (on m nodes) with node m
+    joined to every nonempty subset of the others, graph-major."""
+    old, new = _pair_bits(m), _pair_bits(m + 1)
+    rows, cols = np.triu_indices(m, 1)
+    lifted = ((masks[:, None] & old[rows, cols]) != 0) @ new[rows, cols]
+    subsets = np.arange(1, 1 << m)
+    joins = ((subsets[:, None] >> np.arange(m)) & 1) @ new[:m, m]
+    return (lifted[:, None] | joins).ravel()
+
+
+def _orbit_min(masks: np.ndarray, n: int) -> np.ndarray:
+    """Each mask's smallest image under the n! relabellings of its nodes."""
+    rows, cols = np.triu_indices(n, 1)
+    bit = _pair_bits(n)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    # image[b, p]: where relabelling p sends bit b; every sum of distinct
+    # bits is below 2^53, so the float product is exact
+    image = bit.astype(float)[perms[:, rows], perms[:, cols]].T
+    step = max(1, _IMAGES // len(perms))
+    out = np.empty_like(masks)
+    for s in range(0, masks.size, step):
+        has = (masks[s:s + step, None] & bit[rows, cols]) != 0
+        out[s:s + step] = (has @ image).min(axis=1)
+    return out
+
+
+def _distinct(masks: np.ndarray) -> np.ndarray:
+    """The distinct masks, ascending; np.unique imports numpy.ma on first
+    use, which costs a fresh process ~20 ms and 1 MB."""
+    masks = np.sort(masks)
+    return masks[np.diff(masks, prepend=-1) != 0]
+
+
+def _connected_classes(n: int) -> np.ndarray:
+    """The orbit-minimum masks of the connected graphs on n nodes, one per
+    isomorphism class, ascending: each level's classes extended by a node
+    and deduplicated by their orbit minima."""
+    masks = np.zeros(1, dtype=np.int64)  # the single node
+    for m in range(1, n):
+        masks = _distinct(_orbit_min(_extend(masks, m), m + 1))
+    return masks
 
 
 def find_graphs_by_spectrum(
@@ -159,18 +214,30 @@ def find_graphs_by_spectrum(
     """All connected graphs on n nodes (one per isomorphism class) whose
     Adjn spectrum matches the sorted target within tol per eigenvalue.
 
-    Brute force over all 2^(n(n-1)/2) edge masks, solved in blocks of
-    _BLOCK with one batched eigvalsh each; every match marks its whole
-    orbit under the n! relabellings as seen and is reported by the
-    orbit's smallest mask.  n is capped at 7: on a 2-CPU Xeon with
-    Python 3.11 and numpy 2.4, n = 6 takes ~0.1 s and n = 7 ~11 s, and
-    n = 8 has 128x the masks, ~23 min by extrapolation.  The target must
-    be finite and tol finite and nonnegative.
+    Vertex extension: a leaf of a spanning tree is never a cut vertex, so
+    every connected graph on n nodes is a connected graph on n - 1 nodes
+    plus a node joined to a nonempty subset of them.  The classes on
+    n - 1 nodes are built that way level by level from the single node,
+    each kept by the smallest edge mask of its orbit under the relabellings
+    (_connected_classes).  Their extensions, the candidates, are solved
+    _BLOCK at a time with one batched eigvalsh each, and only the matches
+    are canonicalised; the result is one graph per matching class, labelled
+    by that orbit-minimum mask and in ascending mask order.
+
+    n is capped at 8.  On a 2-CPU Xeon with Python 3.11 and numpy 2.4,
+    n = 5 takes ~2 ms, n = 6 ~5 ms, n = 7 0.04-0.14 s (112 x 63 candidates)
+    and n = 8 ~0.9 s (853 x 127 candidates, ~0.75 s of it in eigvalsh),
+    with tracemalloc peaks of 0.06, 0.4, 2.2 and 12.5 MB.  n = 9 would
+    first build the 11,117 classes on 8 nodes, ~18 s of 8! scans, and
+    then canonicalise its matches against the 9! relabellings; it needs a
+    cheaper canonical form, such as colour refinement or canonical
+    augmentation (McKay, J. Algorithms 1998).  The target must be finite
+    and tol finite and nonnegative.
     """
     if n < 1:
         raise ValueError("graph needs at least one node")
-    if n > 7:
-        raise ValueError("enumeration supported only up to n = 7")
+    if n > 8:
+        raise ValueError("enumeration supported only up to n = 8")
     target = np.sort(np.asarray(target, dtype=float))
     if target.size != n:
         raise ValueError("target spectrum must have n entries")
@@ -181,33 +248,19 @@ def find_graphs_by_spectrum(
         raise ValueError("tol must be finite and nonnegative")
     if n == 1:
         return []  # the single node is isolated
-    rows, cols = np.triu_indices(n, 1)
-    bits = 1 << np.arange(rows.size)
-    bit = np.zeros((n, n), dtype=np.int64)
-    bit[rows, cols] = bit[cols, rows] = bits
-    perms = np.array(list(itertools.permutations(range(n))))
-    image = bit[perms[:, rows], perms[:, cols]]  # where each relabelling sends each bit
-    seen = np.zeros(1 << bits.size, dtype=bool)
-    classes = []
-    for start in range(0, seen.size, _BLOCK):
-        masks = np.arange(start, min(start + _BLOCK, seen.size))
+    candidates = _extend(_connected_classes(n - 1), n - 1)
+    bit = _pair_bits(n)
+    matches = []
+    for start in range(0, candidates.size, _BLOCK):
+        masks = candidates[start:start + _BLOCK]
         A = (masks[:, None, None] & bit) != 0
-        d = A.sum(axis=2)
-        covered = np.all(d > 0, axis=1)
-        masks, A, s = masks[covered], A[covered], 1.0 / np.sqrt(d[covered])
+        s = 1.0 / np.sqrt(A.sum(axis=2))
         spec = np.linalg.eigvalsh(A * (s[:, :, None] * s[:, None, :]))
-        # without isolated nodes, connected iff the eigenvalue 1 is simple; at
-        # n <= 7 a connected graph's gap 1 - spec[-2] is >= 2.8e-4 (Cheeger),
-        # and 0.12 at its smallest
-        miss = np.max(np.abs(spec - target), axis=1) > tol
-        for m in masks[(spec[:, -2] <= 1.0 - 1e-6) & ~miss]:
-            if not seen[m]:
-                orbit = np.where(m & bits, image, 0).sum(axis=1)
-                seen[orbit] = True
-                classes.append(orbit.min())
+        matches.append(masks[np.max(np.abs(spec - target), axis=1) <= tol])
+    rows, cols = np.triu_indices(n, 1)
     return [
-        Graph(n, [(i + 1, j + 1) for i, j, b in zip(rows, cols, bits) if c & b])
-        for c in sorted(classes)
+        Graph(n, [(i + 1, j + 1) for i, j in zip(rows, cols) if c & bit[i, j]])
+        for c in _distinct(_orbit_min(np.concatenate(matches), n))
     ]
 
 

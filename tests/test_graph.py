@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from agreelab.graph import (
     Graph,
+    _connected_classes,
     adjacency,
     degree_matrix,
     degrees,
@@ -28,6 +30,93 @@ DART_SPECTRUM = [
     -0.5,
     -(np.sqrt(33) + 3) / 12,
 ]
+
+
+# connected graphs on n nodes up to isomorphism (OEIS A001349), n = 1..7
+CONNECTED_CLASSES = [1, 1, 2, 6, 21, 112, 853]
+
+
+def adjn_spectrum(g):
+    return np.sort(np.linalg.eigvals(normalized_adjacency(g)).real)
+
+
+def pair_bits(n):
+    """The search's mask layout: the pairs (0,1), (0,2), ..., (n-2,n-1)
+    take bits 0, 1, ..."""
+    rows, cols = np.triu_indices(n, 1)
+    bit = np.zeros((n, n), dtype=np.int64)
+    bit[rows, cols] = bit[cols, rows] = 1 << np.arange(rows.size)
+    return bit
+
+
+def edge_mask(g):
+    bit = pair_bits(g.n)
+    return int(sum(bit[i - 1, j - 1] for i, j in g.edges))
+
+
+def orbit_min_mask(g):
+    """The smallest edge mask of g over the n! relabellings of its nodes."""
+    bit = pair_bits(g.n)
+    perms = np.array(list(itertools.permutations(range(g.n))))
+    i, j = (np.array(g.edge_list) - 1).T
+    return int(bit[perms[:, i], perms[:, j]].sum(axis=1).min())
+
+
+_BRUTE_BLOCK = 512
+
+
+def brute_force_search(n, targets, tol=1e-9):
+    """The oracle: the search as it was before vertex extension, one pass
+    over every edge mask answering each target as one call answered it.
+
+    Every one of the 2^(n(n-1)/2) masks is solved, _BRUTE_BLOCK with one
+    batched eigvalsh; each connected match marks its whole orbit under the
+    n! relabellings as seen and is reported by the orbit's smallest mask.
+    """
+    targets = [np.sort(np.asarray(t, dtype=float)) for t in targets]
+    rows, cols = np.triu_indices(n, 1)
+    bits = 1 << np.arange(rows.size)
+    bit = pair_bits(n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    image = bit[perms[:, rows], perms[:, cols]]  # where each relabelling sends each bit
+    seen = np.zeros((len(targets), 1 << bits.size), dtype=bool)
+    classes = [[] for _ in targets]
+    for start in range(0, seen.shape[1], _BRUTE_BLOCK):
+        masks = np.arange(start, min(start + _BRUTE_BLOCK, seen.shape[1]))
+        A = (masks[:, None, None] & bit) != 0
+        d = A.sum(axis=2)
+        covered = np.all(d > 0, axis=1)
+        masks, A, s = masks[covered], A[covered], 1.0 / np.sqrt(d[covered])
+        spec = np.linalg.eigvalsh(A * (s[:, :, None] * s[:, None, :]))
+        # without isolated nodes, connected iff the eigenvalue 1 is simple; at
+        # n <= 7 a connected graph's gap 1 - spec[-2] is >= 2.8e-4 (Cheeger),
+        # and 0.12 at its smallest
+        connected = spec[:, -2] <= 1.0 - 1e-6
+        for t, target in enumerate(targets):
+            miss = np.max(np.abs(spec - target), axis=1) > tol
+            for m in masks[connected & ~miss]:
+                if not seen[t, m]:
+                    orbit = np.where(m & bits, image, 0).sum(axis=1)
+                    seen[t, orbit] = True
+                    classes[t].append(orbit.min())
+    return [
+        [Graph(n, [(i + 1, j + 1) for i, j, b in zip(rows, cols, bits) if c & b]) for c in sorted(found)]
+        for found in classes
+    ]
+
+
+def connected_spectra(n):
+    """One representative of each distinct Adjn spectrum among the connected
+    graphs on n nodes, from a batched solve of every edge mask."""
+    bit = pair_bits(n)
+    masks = np.arange(1 << (n * (n - 1) // 2))
+    A = ((masks[:, None, None] & bit) != 0).astype(float)
+    d = A.sum(axis=2)
+    A, d = A[np.all(d > 0, axis=1)], d[np.all(d > 0, axis=1)]
+    spec = np.linalg.eigvalsh(A / np.sqrt(d[:, :, None] * d[:, None, :]))
+    spec = spec[spec[:, -2] <= 1.0 - 1e-6]
+    _, first = np.unique(np.round(spec, 9), axis=0, return_index=True)
+    return spec[np.sort(first)]
 
 
 def random_connected_graph(rng, n, p=0.6):
@@ -324,13 +413,60 @@ class TestSpectrumSearch:
             counts.append(len(found))
         assert counts[2:] == [3, 2]
 
-    def test_eight_nodes_rejected_before_enumerating(self, monkeypatch):
+    def test_nine_nodes_rejected_before_enumerating(self, monkeypatch):
         def enumerated(*args):
             raise AssertionError("enumeration started")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", enumerated)
-        with pytest.raises(ValueError, match="n = 7"):
-            find_graphs_by_spectrum(8, [0.0] * 8, 1e-9)
+        monkeypatch.setattr("agreelab.graph._extend", enumerated)
+        with pytest.raises(ValueError, match="n = 8"):
+            find_graphs_by_spectrum(9, [0.0] * 9, 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_brute_force_at_every_spectrum(self, n):
+        targets = connected_spectra(n)
+        expected = brute_force_search(n, targets)
+        for target, graphs in zip(targets, expected):
+            assert find_graphs_by_spectrum(n, target, 1e-9) == graphs, (n, target)
+        # every class matches its own spectrum
+        assert len({g for graphs in expected for g in graphs}) == CONNECTED_CLASSES[n - 1]
+
+    def test_dart_matches_brute_force(self):
+        expected = brute_force_search(5, [DART_SPECTRUM])[0]
+        assert find_graphs_by_spectrum(5, DART_SPECTRUM, 1e-9) == expected
+
+    def test_class_counts(self):
+        # the 11,117 classes at n = 8 take ~18 s (all 108,331 candidates
+        # canonicalised by the 8! scan), so they are not counted here
+        counts = [len(_connected_classes(n)) for n in range(1, 8)]
+        assert counts == CONNECTED_CLASSES
+
+    @pytest.mark.parametrize("n, p, seed", [(7, 0.35, 71), (7, 0.65, 72), (8, 0.35, 81), (8, 0.65, 82)])
+    def test_random_graph_found_by_its_spectrum(self, n, p, seed):
+        source = random_connected_graph(np.random.default_rng(seed), n, p)
+        target = adjn_spectrum(source)
+        found = find_graphs_by_spectrum(n, target, 1e-9)
+        # each match is labelled by its orbit's smallest mask, ascending
+        masks = [edge_mask(g) for g in found]
+        assert masks == sorted(set(masks))
+        assert masks == [orbit_min_mask(g) for g in found]
+        assert orbit_min_mask(source) in masks
+        for g in found:
+            assert np.max(np.abs(adjn_spectrum(g) - target)) <= 1e-9
+
+    def test_eight_node_search_memory(self):
+        # blocks of _orbit_min and eigvalsh bound the peak; measured 12.6 MB,
+        # of which 9.0 MB is the float image of the 28 bits under 8! relabellings
+        target = adjn_spectrum(random_connected_graph(np.random.default_rng(83), 8, 0.5))
+        find_graphs_by_spectrum(5, DART_SPECTRUM, 1e-9)  # first-call imports are not the search's memory
+        tracemalloc.start()
+        try:
+            found = find_graphs_by_spectrum(8, target, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found
+        assert peak < 16 * 2**20
 
 
 class TestGraphText:
