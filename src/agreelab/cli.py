@@ -16,19 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    _number_list,
-    _parse_graph,
-    _require_keys,
-    load_config,
-)
+from .config import ConfigError, ExperimentConfig, load_config, load_design
 from .design import design_filter, feasible, h2_drift
 from .graph import is_connected, modal_transform, read_graph
 from .protocol import check_agreement, check_cancellation, modal_analysis
-from .scenarios import SCENARIOS, _run_noisy, run_scenario
-from .sim import SimulationDiverged, integrate, settling_time
+from .scenarios import SCENARIOS, run_config, run_scenario
+from .sim import SimulationDiverged, settling_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,19 +110,12 @@ def cmd_check(args) -> int:
 
 
 def _simulate_config(cfg: ExperimentConfig, out_dir: Path, seed: int, realizations: int) -> dict:
-    loop = cfg.build_loop()
-    metrics: dict = {"seed": seed}
-    if cfg.has_noise:
-        # the metrics need member 0, the drift slope the whole ensemble,
-        # and members 0..R-1 are kept for their CSVs when R <= 10
-        stats, metrics["drift_slope"] = _run_noisy(
-            cfg, loop, seed, realizations, keep=realizations if realizations <= 10 else 1
-        )
-        trajs, ref = stats.paths, stats.reference
-    else:
-        trajs = [integrate(loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon)]
-        metrics["drift_slope"] = None
-        ref = float(np.mean(trajs[0].outputs[-1]))
+    # the metrics need member 0, the drift slope the whole ensemble,
+    # and members 0..R-1 are kept for their CSVs when R <= 10
+    trajs, ref, _, drift_slope = run_config(
+        cfg, seed, realizations, keep=realizations if realizations <= 10 else 1
+    )
+    metrics: dict = {"seed": seed, "drift_slope": drift_slope}
     primary = trajs[0]
 
     try:
@@ -164,27 +150,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_design(args) -> int:
-    path = Path(args.config)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError("design config", str(e)) from None
-    _require_keys(data, "design config", {"bounds"}, {"alphas", "graph"})
-    bounds = data["bounds"]
-    _require_keys(bounds, "design config.bounds", {"omega_n", "tau", "zeta"})
-    for key, pair in bounds.items():
-        where = f"design config.bounds.{key}"
-        lo_hi = _number_list(pair, where)
-        if len(lo_hi) != 2 or not 0.0 < lo_hi[0] <= lo_hi[1] < np.inf:
-            raise ConfigError(where, "expected [lo, hi] with 0 < lo <= hi")
-    alphas = None
-    if "alphas" in data and "graph" in data:
-        raise ConfigError("design config", "give either alphas or graph, not both")
-    if "alphas" in data:
-        alphas = _number_list(data["alphas"], "design config.alphas")
-    elif "graph" in data:
-        g = _parse_graph(data["graph"], "design config.graph", path.parent)
-        alphas = modal_transform(g).alphas.tolist()
+    bounds, alphas = load_design(args.config)
     try:
         params = design_filter(bounds, alphas)
     except ValueError as e:

@@ -2,25 +2,25 @@
 
 Rational functions are entered as ascending coefficient lists, graphs
 either inline or as a path to a graph text file.  Unknown keys are
-rejected everywhere so that typos fail loudly, and parse -> serialize
--> parse is the identity.
+rejected everywhere so that typos fail loudly.  The design config of
+`agreelab design` is parsed here too (`load_design`).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .design import FilterParams, make_filter
-from .graph import Graph, read_graph
+from .graph import Graph, modal_transform, read_graph
 from .lti import RationalTF
-from .protocol import AgentModel, ClassicConfig, TwoDofConfig
+from .protocol import AgentModel, ClassicConfig, TwoDofConfig, build_2dof, build_classic
 from .sim import SignalSpec
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "load_design"]
 
 
 class ConfigError(ValueError):
@@ -68,10 +68,6 @@ def _parse_tf(obj: Any, path: str) -> RationalTF:
                           _number_list(obj["den"], f"{path}.den"))
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(path, str(e)) from None
-
-
-def _tf_dict(tf: RationalTF) -> dict:
-    return {"num": tf.num.coeffs.tolist(), "den": tf.den.coeffs.tolist()}
 
 
 def _parse_graph(obj: Any, path: str, base_dir: Path) -> Graph:
@@ -124,14 +120,6 @@ def _parse_signal(obj: Any, path: str) -> SignalSpec:
     raise ConfigError(f"{path}.kind", f"unknown signal kind {kind!r}")
 
 
-def _signal_dict(s: SignalSpec) -> dict:
-    if s.kind == "zero":
-        return {"kind": "zero"}
-    if s.kind == "step":
-        return {"kind": "step", "amplitude": s.amplitude, "onset": s.onset}
-    return {"kind": "white_noise", "intensity": s.intensity, "onset": s.onset}
-
-
 def _parse_signal_bank(obj: Any, path: str, nu: int) -> list[SignalSpec]:
     if obj is None:
         return [SignalSpec.zero()] * nu
@@ -151,7 +139,6 @@ class ExperimentConfig:
     protocol: str  # "classic" | "twodof"
     classic: ClassicConfig | None
     twodof: TwoDofConfig | None
-    filter_params: FilterParams | None
     signals_d: list[SignalSpec]
     signals_n: list[SignalSpec]
     dt: float
@@ -192,7 +179,7 @@ class ExperimentConfig:
         if not isinstance(proto_obj, dict) or "type" not in proto_obj:
             raise ConfigError("config.protocol", "expected an object with a 'type'")
         ptype = proto_obj["type"]
-        classic = twodof = filter_params = None
+        classic = twodof = None
         if ptype == "classic":
             _require_keys(proto_obj, "config.protocol", {"type", "k"}, {"filter"})
             k = proto_obj["k"]
@@ -251,7 +238,6 @@ class ExperimentConfig:
             protocol=ptype,
             classic=classic,
             twodof=twodof,
-            filter_params=filter_params,
             signals_d=signals_d,
             signals_n=signals_n,
             dt=dt,
@@ -261,50 +247,7 @@ class ExperimentConfig:
             realizations=realizations,
         )
 
-    def to_dict(self) -> dict:
-        agents = []
-        for a in self.agents:
-            entry = {"plant": _tf_dict(a.plant)}
-            if a.local_controller is not None:
-                entry["controller"] = _tf_dict(a.local_controller)
-            agents.append(entry)
-        if self.protocol == "classic":
-            gains = self.classic.gains
-            proto = {
-                "type": "classic",
-                "k": list(gains) if isinstance(gains, (list, tuple)) else gains,
-                "filter": _tf_dict(self.classic.shared_filter),
-            }
-        else:
-            if self.filter_params is not None:
-                nf = {
-                    "omega_n": self.filter_params.omega_n,
-                    "tau": self.filter_params.tau,
-                    "zeta": self.filter_params.zeta,
-                }
-            else:
-                nf = _tf_dict(self.twodof.network_filter)
-            proto = {"type": "twodof", "network_filter": nf}
-        return {
-            "graph": {"n": self.graph.n, "edges": [list(e) for e in self.graph.edge_list]},
-            "agents": agents,
-            "protocol": proto,
-            "signals": {
-                "d": [_signal_dict(s) for s in self.signals_d],
-                "n": [_signal_dict(s) for s in self.signals_n],
-            },
-            "sim": {
-                "dt": self.dt,
-                "T": self.horizon,
-                "y0": list(self.y0),
-                "seed": self.seed,
-                "realizations": self.realizations,
-            },
-        }
-
     def build_loop(self):
-        from .protocol import build_2dof, build_classic
-
         if self.protocol == "classic":
             return build_classic(self.graph, self.agents, self.classic)
         return build_2dof(self.graph, self.agents, self.twodof)
@@ -323,3 +266,33 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as e:
         raise ConfigError("config", f"invalid JSON in {path}: {e}") from None
     return ExperimentConfig.from_dict(data, base_dir=path.parent)
+
+
+def load_design(path: str | Path) -> tuple[dict, list[float] | None]:
+    """The bounds and the alphas of a design config; the alphas of its
+    graph if it names one, None if it gives neither."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError("design config", str(e)) from None
+    _require_keys(data, "design config", {"bounds"}, {"alphas", "graph"})
+    bounds = data["bounds"]
+    _require_keys(bounds, "design config.bounds", {"omega_n", "tau", "zeta"})
+    for key, pair in bounds.items():
+        where = f"design config.bounds.{key}"
+        lo_hi = _number_list(pair, where)  # finite numbers
+        if len(lo_hi) != 2 or not 0.0 < lo_hi[0] <= lo_hi[1]:
+            raise ConfigError(where, "expected [lo, hi] with 0 < lo <= hi")
+    alphas = None
+    if "alphas" in data and "graph" in data:
+        raise ConfigError("design config", "give either alphas or graph, not both")
+    if "alphas" in data:
+        alphas = _number_list(data["alphas"], "design config.alphas")
+        for i, alpha in enumerate(alphas):  # eigenvalues of D^-1 A lie in [-1, 1]
+            if abs(alpha) > 1.0 + 1e-9:
+                raise ConfigError(f"design config.alphas[{i}]", "expected a value in [-1, 1]")
+    elif "graph" in data:
+        g = _parse_graph(data["graph"], "design config.graph", path.parent)
+        alphas = modal_transform(g).alphas.tolist()
+    return bounds, alphas

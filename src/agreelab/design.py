@@ -90,6 +90,16 @@ def make_filter(p: FilterParams) -> RationalTF:
     return RationalTF(Polynomial([wn * wn]), den)
 
 
+def _worst_alpha(alphas: Sequence[float] | None) -> float | None:
+    """The smallest alpha below 1 - 1e-9, which decides feasibility
+    (module docstring): -1 without alphas, None if there is none."""
+    if alphas is None:
+        return -1.0
+    below = np.asarray(alphas, dtype=float)
+    below = below[below < 1.0 - 1e-9]
+    return float(below.min()) if below.size else None
+
+
 def feasible(p: FilterParams, alphas: Sequence[float] | None = None) -> bool:
     """Stability of every network mode with alpha below 1 - 1e-9.
 
@@ -99,14 +109,9 @@ def feasible(p: FilterParams, alphas: Sequence[float] | None = None) -> bool:
     Without alphas the whole interval [-1, 1) is certified through its
     worst case alpha = -1.
     """
-    if alphas is None:
-        alpha = -1.0
-    else:
-        below = np.asarray(alphas, dtype=float)
-        below = below[below < 1.0 - 1e-9]
-        if below.size == 0:
-            return True
-        alpha = float(below.min())
+    alpha = _worst_alpha(alphas)
+    if alpha is None:
+        return True
     wn, tau, zeta = p.as_tuple()
     a2 = 2.0 * zeta * wn * tau + 1.0
     a1 = tau * wn * wn + 2.0 * zeta * wn
@@ -133,7 +138,7 @@ def design_filter(bounds: dict, alphas: Sequence[float] | None = None) -> Filter
     corner = FilterParams(wn_lo, tau_hi, zeta)
     if feasible(corner, alphas):
         return corner
-    alpha = min([-1.0] if alphas is None else [a for a in alphas if a < 1.0 - 1e-9])
+    alpha = _worst_alpha(alphas)  # not None: the corner is infeasible
     b = 4.0 * zeta * zeta + alpha
     # b < 0 here.  Widen the band so that, at its edges, q exceeds 1e-13 of
     # the magnitudes `feasible` compares, even where the band is narrow.

@@ -43,7 +43,6 @@ from .lti import (
     StateSpace,
     HURWITZ_MARGIN,
     ss_block_diag,
-    tf_cancel,
     tf_feedback,
     tf_inverse,
     tf_poles,
@@ -425,11 +424,9 @@ def check_cancellation(
         raise ValueError("cancellation check applies to imaginary-axis poles only")
     vanishes = []
     for tf in loop_tfs:
-        if tf_cancel(tf).num.is_zero:
-            vanishes.append(True)
-            continue
-        zeros = tf_zeros(tf)
-        vanishes.append(bool(zeros.size) and float(np.min(np.abs(zeros - p))) <= tol)
+        zeros = tf_zeros(tf)  # none for a zero transfer, which vanishes everywhere
+        near = bool(zeros.size) and float(np.min(np.abs(zeros - p))) <= tol
+        vanishes.append(tf.num.is_zero or near)
     return CancellationVerdict(pole=p, holds=all(vanishes), vanishes=vanishes)
 
 

@@ -22,9 +22,10 @@ import numpy as np
 from .config import ExperimentConfig
 from .graph import modal_transform
 from .protocol import classic_noise_disagreement_variance
-from .sim import EnsembleStats, Trajectory, integrate, run_ensemble, settling_time
+from .sim import SETTLING_BAND, EnsembleStats, Trajectory, integrate, run_ensemble
+from .sim import least_squares_slope, settling_time
 
-__all__ = ["SCENARIOS", "load_scenario", "run_scenario"]
+__all__ = ["SCENARIOS", "load_scenario", "run_config", "run_scenario"]
 
 SCENARIOS = ("nominal", "noise", "dist", "dist-pi")
 
@@ -47,28 +48,31 @@ def load_scenario(name: str) -> dict[str, ExperimentConfig]:
     return _load(name)[0]
 
 
-def _run_noisy(
-    cfg: ExperimentConfig, loop, seed: int, realizations: int, keep: int = 1
-) -> tuple[EnsembleStats, float | None]:
-    """Every run of a noisy configuration: the ensemble of its
-    agreement-mode projection, with members 0..keep-1 as paths and the
-    final consensus of its noise-free twin as the reference, and its
-    drift slope, None below the 30 realizations the slope needs."""
+def run_config(
+    cfg: ExperimentConfig, seed: int, realizations: int, keep: int = 1
+) -> tuple[list[Trajectory], float, EnsembleStats | None, float | None]:
+    """Every run of a configuration: (paths, reference, stats, drift slope).
+    A noisy one is the ensemble of its agreement-mode projection, with
+    members 0..keep-1 as paths, the final consensus of its noise-free twin
+    as the reference, and a slope, None below the 30 realizations it needs.
+    A noise-free one is one path, its final mean output, None and None."""
+    loop = cfg.build_loop()
+    if not cfg.has_noise:
+        traj = integrate(loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon)
+        return [traj], float(np.mean(traj.outputs[-1])), None, None
     stats = run_ensemble(
         loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon,
         seed=seed, realizations=realizations, projection=modal_transform(cfg.graph).U[0],
         keep=keep,
     )
-    return stats, stats.drift_slope() if realizations >= 30 else None
+    slope = stats.drift_slope() if realizations >= 30 else None
+    return stats.paths, stats.reference, stats, slope
 
 
 def _mean_output_slope(traj: Trajectory, window: tuple[float, float]) -> float:
     lo, hi = window
     mask = (traj.times >= lo) & (traj.times <= hi)
-    t = traj.times[mask]
-    m = traj.outputs[mask].mean(axis=1)
-    tbar = t.mean()
-    return float(np.dot(t - tbar, m - m.mean()) / np.dot(t - tbar, t - tbar))
+    return least_squares_slope(traj.times[mask], traj.outputs[mask].mean(axis=1))
 
 
 def _max_gap(traj: Trajectory, t: float) -> float:
@@ -97,31 +101,26 @@ def run_scenario(
     trajectories: dict[str, Trajectory] = {}
 
     for proto, cfg in configs.items():
-        loop = cfg.build_loop()
         use_seed = cfg.seed if seed is None else seed
         metrics[f"{proto}_seed"] = use_seed
-        if cfg.has_noise:
-            R = cfg.realizations if realizations is None else realizations
-            stats, metrics[f"{proto}_drift_slope"] = _run_noisy(cfg, loop, use_seed, R)
-            norms = np.linalg.norm(stats.finals - stats.reference, axis=1)
-            metrics[f"{proto}_final_consensus"] = stats.reference
+        R = cfg.realizations if realizations is None else realizations
+        paths, reference, stats, slope = run_config(cfg, use_seed, R)
+        trajectories[proto] = paths[0]
+        if stats is not None:
+            norms = np.linalg.norm(stats.finals - reference, axis=1)
+            metrics[f"{proto}_drift_slope"] = slope
+            metrics[f"{proto}_final_consensus"] = reference
             metrics[f"{proto}_median_disagreement_norm_at_{cfg.horizon:g}"] = float(
                 np.median(norms)
             )
             metrics[f"{proto}_realizations"] = R
-            trajectories[proto] = stats.paths[0]
-        else:
-            traj = integrate(
-                loop, cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon
-            )
-            trajectories[proto] = traj
 
     if name == "nominal":
         for proto in configs:
             traj = trajectories[proto]
             metrics[f"{proto}_settling_time_s"] = settling_time(traj)
             metrics[f"{proto}_final_consensus"] = float(np.mean(traj.outputs[-1]))
-        metrics["settling_band"] = 0.02
+        metrics["settling_band"] = SETTLING_BAND
     elif name == "noise":
         if metrics["classic_drift_slope"] is not None:
             metrics["drift_slope_ratio"] = (

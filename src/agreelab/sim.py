@@ -39,6 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _kernels
+from .protocol import ClosedLoop
 
 __all__ = [
     "SignalSpec",
@@ -48,10 +49,13 @@ __all__ = [
     "integrate",
     "run_ensemble",
     "settling_time",
+    "least_squares_slope",
     "rk4_transition",
 ]
 
 DIVERGENCE_LIMIT = 1e9
+
+SETTLING_BAND = 0.02  # of `settling_time`, a fraction of the initial deviation
 
 # Grid nodes per block: the noise draws, the divergence test and the
 # ensemble statistics run once per block, not once per step.
@@ -204,8 +208,6 @@ class _Prepared:
     )
 
     def __init__(self, loop, d, n, y0, dt, T):
-        from .protocol import ClosedLoop  # local import to avoid a cycle
-
         if not isinstance(loop, ClosedLoop):
             raise TypeError("expected a ClosedLoop")
         if dt <= 0:
@@ -360,11 +362,15 @@ class EnsembleStats:
         lo, hi = (T / 2.0, T) if window is None else window
         mask = (self.times >= lo - 1e-12) & (self.times <= hi + 1e-12)
         t = self.times[mask]
-        v = self.variance[mask]
         if t.size < 2:
             raise ValueError("drift window contains fewer than two samples")
-        tbar = t.mean()
-        return float(np.dot(t - tbar, v - v.mean()) / np.dot(t - tbar, t - tbar))
+        return least_squares_slope(t, self.variance[mask])
+
+
+def least_squares_slope(t: np.ndarray, v: np.ndarray) -> float:
+    """Slope of the least-squares line through the points (t, v)."""
+    tbar = t.mean()
+    return float(np.dot(t - tbar, v - v.mean()) / np.dot(t - tbar, t - tbar))
 
 
 def run_ensemble(
@@ -420,7 +426,7 @@ def run_ensemble(
     )
 
 
-def settling_time(traj: Trajectory, band: float = 0.02) -> float:
+def settling_time(traj: Trajectory, band: float = SETTLING_BAND) -> float:
     """Smallest grid time after which every output stays within
     band * initial deviation of the terminal consensus value."""
     y = traj.outputs

@@ -9,8 +9,8 @@ from agreelab import _kernels, sim
 from agreelab.cli import main
 from agreelab.config import ConfigError, ExperimentConfig
 from agreelab.graph import Graph, format_graph_text
-from agreelab.scenarios import load_scenario, run_scenario
-from agreelab.sim import SimulationDiverged, Trajectory, run_ensemble
+from agreelab.scenarios import load_scenario, run_config, run_scenario
+from agreelab.sim import SimulationDiverged, Trajectory, integrate, run_ensemble
 from test_sim import reference_member
 
 DART_EDGES = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4]]
@@ -108,11 +108,6 @@ def count_paths(monkeypatch) -> dict:
 
 
 class TestConfigParsing:
-    def test_roundtrip_identity(self):
-        cfg = ExperimentConfig.from_dict(base_config("twodof"))
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
-
     def test_unknown_top_level_key(self):
         bad = base_config()
         bad["misc"] = 1
@@ -182,7 +177,6 @@ class TestConfigParsing:
         cfg = base_config("twodof")
         cfg["protocol"]["network_filter"] = {"num": [9.0], "den": [9.0, 57.0, 61.0, 5.0]}
         parsed = ExperimentConfig.from_dict(cfg)
-        assert parsed.filter_params is None
         assert parsed.twodof.network_filter(0.0) == pytest.approx(1.0)
 
 
@@ -436,8 +430,14 @@ class TestDesignCommand:
             {"bounds": {"omega_n": [0.5, 5.0], "tau": 5, "zeta": [0.5, 4.0]}},
             {"bounds": {"omega_n": [0.5, 5.0], "tau": [0.5, 10.0], "zeta": [0.5, 4.0]},
              "alphas": 5},
+            # alphas are eigenvalues of D^-1 A, so they lie in [-1, 1]
+            {"bounds": {"omega_n": [3.0, 3.0], "tau": [5.0, 5.0], "zeta": [2.0, 2.0]},
+             "alphas": [1.5, 0.2]},
+            {"bounds": {"omega_n": [3.0, 3.0], "tau": [5.0, 5.0], "zeta": [2.0, 2.0]},
+             "alphas": [0.2, -1.5]},
         ],
-        ids=["missing-zeta", "lo-above-hi", "two-pairs", "scalar-tau", "scalar-alphas"],
+        ids=["missing-zeta", "lo-above-hi", "two-pairs", "scalar-tau", "scalar-alphas",
+             "alpha-above-one", "alpha-below-minus-one"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, cfg):
         path = write_config(tmp_path, cfg, "design.json")
@@ -472,6 +472,16 @@ class TestDesignCommand:
         assert "config error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("slack, code", [(5e-10, 0), (1e-8, 1)])
+    def test_alpha_range_has_slack(self, tmp_path, capsys, slack, code):
+        cfg = {
+            "bounds": {"omega_n": [3.0, 3.0], "tau": [5.0, 5.0], "zeta": [2.0, 2.0]},
+            "alphas": [0.2, 1.0 + slack, -1.0 - slack],
+        }
+        assert main(["design", write_config(tmp_path, cfg, "design.json")]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("config error: design config.alphas[1]: ")
+
     def test_graph_spectrum_bounds(self, tmp_path, capsys):
         cfg = {
             "bounds": {"omega_n": [0.5, 5.0], "tau": [0.5, 10.0], "zeta": [0.5, 4.0]},
@@ -481,6 +491,25 @@ class TestDesignCommand:
         assert main(["design", path]) == 0
         out = capsys.readouterr().out
         assert "h2_drift" in out
+
+
+class TestRunConfig:
+    def test_noise_free_is_one_path(self):
+        cfg = ExperimentConfig.from_dict(base_config("twodof"))
+        paths, reference, stats, slope = run_config(cfg, seed=0, realizations=3, keep=3)
+        expected = integrate(cfg.build_loop(), cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon)
+        assert len(paths) == 1
+        assert np.array_equal(paths[0].outputs, expected.outputs)
+        assert reference == float(np.mean(expected.outputs[-1]))
+        assert stats is None and slope is None
+
+    def test_noisy_is_the_ensemble(self):
+        cfg = ExperimentConfig.from_dict(noisy_config(T=2.0))
+        paths, reference, stats, slope = run_config(cfg, seed=4, realizations=3, keep=2)
+        assert paths is stats.paths and len(paths) == 2
+        assert reference == stats.reference
+        assert slope is None  # below the 30 realizations a slope needs
+        assert np.array_equal(paths[1].outputs, member_paths(cfg, 4, 2)[1])
 
 
 class TestReproduceCommand:
