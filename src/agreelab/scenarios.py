@@ -22,8 +22,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .graph import modal_transform
 from .protocol import classic_noise_disagreement_variance
-from .sim import SETTLING_BAND, EnsembleStats, Trajectory, integrate, run_ensemble
-from .sim import least_squares_slope, settling_time
+from .sim import DRIFT_MIN_REALIZATIONS, SETTLING_BAND, EnsembleStats, Trajectory, integrate
+from .sim import least_squares_slope, run_ensemble, settling_time
 
 __all__ = ["SCENARIOS", "load_scenario", "run_config", "run_scenario"]
 
@@ -54,7 +54,8 @@ def run_config(
     """Every run of a configuration: (paths, reference, stats, drift slope).
     A noisy one is the ensemble of its agreement-mode projection, with
     members 0..keep-1 as paths, the final consensus of its noise-free twin
-    as the reference, and a slope, None below the 30 realizations it needs.
+    as the reference, and a slope, None below the DRIFT_MIN_REALIZATIONS
+    realizations it needs.
     A noise-free one is one path, its final mean output, None and None."""
     loop = cfg.build_loop()
     if not cfg.has_noise:
@@ -65,7 +66,7 @@ def run_config(
         seed=seed, realizations=realizations, projection=modal_transform(cfg.graph).U[0],
         keep=keep,
     )
-    slope = stats.drift_slope() if realizations >= 30 else None
+    slope = stats.drift_slope() if realizations >= DRIFT_MIN_REALIZATIONS else None
     return stats.paths, stats.reference, stats, slope
 
 

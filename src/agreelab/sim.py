@@ -57,6 +57,8 @@ DIVERGENCE_LIMIT = 1e9
 
 SETTLING_BAND = 0.02  # of `settling_time`, a fraction of the initial deviation
 
+DRIFT_MIN_REALIZATIONS = 30  # an ensemble's drift slope needs this many members
+
 # Grid nodes per block: the noise draws, the divergence test and the
 # ensemble statistics run once per block, not once per step.
 _CHUNK = 256
@@ -310,8 +312,7 @@ class _Prepared:
                 w[:, :m] *= self.noise_scale
                 for c, k_on in enumerate(self.noise_gate):
                     w[:, :min(max(k_on - first + 1, 0), m), c] = 0.0
-                noise = (w.reshape(-1, nn) @ self.bn.T).reshape(len(rngs), _CHUNK + 1, n)
-                x[s:rows + 1, lo:] += noise[:, :m].transpose(1, 0, 2)
+                x[s:rows + 1, lo:] += w[:, :m].transpose(1, 0, 2) @ self.bn.T
             blow = _kernels.affine_path(self.phi, x[s - 1:rows + 1], DIVERGENCE_LIMIT)
             if blow >= 0:
                 raise SimulationDiverged((first - 1 + blow) * self.dt)
@@ -341,9 +342,9 @@ def member_seed(master_seed: int, realization: int) -> np.random.SeedSequence:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Streaming ensemble statistics of one scalar output projection,
-    the paths of the first members and the final mean output of the
-    noise-free twin."""
+    """The two-pass mean and variance over the members of each node of
+    one scalar output projection, the paths of the first members and the
+    final mean output of the noise-free twin."""
 
     times: np.ndarray
     count: int
@@ -353,14 +354,13 @@ class EnsembleStats:
     reference: float
     paths: list[Trajectory]
 
-    def drift_slope(self, window: tuple[float, float] | None = None) -> float:
-        """Least-squares slope of the variance over [T/2, T] unless a
-        window is given; at least 30 realizations are required."""
-        if self.count < 30:
-            raise ValueError("drift slope requires at least 30 realizations")
+    def drift_slope(self) -> float:
+        """Least-squares slope of the variance over [T/2, T]; at least
+        DRIFT_MIN_REALIZATIONS realizations are required."""
+        if self.count < DRIFT_MIN_REALIZATIONS:
+            raise ValueError(f"drift slope requires at least {DRIFT_MIN_REALIZATIONS} realizations")
         T = self.times[-1]
-        lo, hi = (T / 2.0, T) if window is None else window
-        mask = (self.times >= lo - 1e-12) & (self.times <= hi + 1e-12)
+        mask = self.times >= T / 2.0 - 1e-12
         t = self.times[mask]
         if t.size < 2:
             raise ValueError("drift window contains fewer than two samples")
@@ -379,16 +379,13 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Monte-Carlo ensemble of stochastic runs and their noise-free twin.
 
-    Member r is driven by the stream member_seed(seed, r), so the merged
-    statistics do not depend on evaluation order.  The variance is a
-    Welford (1962) update of each member's deviation from member 0, so a
-    mean much larger than the spread does not cancel.  The twin, the
-    same run with every measurement channel at zero, is stepped with the
-    members, and the
-    statistics are updated one block of grid nodes at a time; only the
-    whole paths of members 0..keep-1 are kept.  A divergence is reported
-    at the earliest grid time at which any path, the twin's or a
-    member's, crosses the limit.
+    Member r is driven by the stream member_seed(seed, r), so the
+    statistics do not depend on evaluation order.  The twin, the same run
+    with every measurement channel at zero, is stepped with the members.
+    Each block of grid nodes gives the two-pass mean and variance over the
+    members of each node; only the whole paths of members 0..keep-1 are
+    kept.  A divergence is reported at the earliest grid time at which
+    any path, the twin's or a member's, crosses the limit.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -399,27 +396,23 @@ def run_ensemble(
     if projection.size != loop.nagents:
         raise ValueError("projection length must equal the agent count")
     npts = prep.nsteps + 1
-    mean = np.zeros(npts)  # running mean of z - z0
-    m2 = np.zeros(npts)
-    z0 = np.empty(npts)
+    mean = np.empty(npts)
+    variance = np.empty(npts)
     kept = np.empty((keep, npts, loop.nagents))
     for k0, y in prep.blocks(seed, [None, *range(realizations)]):
         nodes = slice(k0, k0 + y.shape[0])
         kept[:, nodes] = y[:, 1:keep + 1].transpose(1, 0, 2)
-        z0[nodes] = y[:, 1] @ projection
-        mu, s2 = mean[nodes], m2[nodes]
-        for r in range(realizations):
-            x = y[:, r + 1] @ projection - z0[nodes]
-            delta = x - mu
-            mu += delta / (r + 1)
-            s2 += delta * (x - mu)
-    mean += z0
-    m2 /= max(realizations - 1, 1)  # the variance; m2 is zero for one member
+        # a reduction over the agent axis, not a product: BLAS may give a
+        # product other bits at another member count
+        z = (y[:, 1:] * projection).sum(axis=2)
+        mean[nodes] = z.mean(axis=1)
+        # the divisor of one member is 1, not 0: its variance is zero
+        variance[nodes] = np.square(z - mean[nodes, None]).sum(axis=1) / max(realizations - 1, 1)
     return EnsembleStats(
         times=prep.times,
         count=realizations,
         mean=mean,
-        variance=m2,
+        variance=variance,
         finals=y[-1, 1:].copy(),
         reference=float(np.mean(y[-1, 0])),
         paths=[Trajectory(times=prep.times, outputs=path, dt=dt) for path in kept],

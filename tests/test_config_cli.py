@@ -341,6 +341,12 @@ class TestSimulateCommand:
         path = write_config(tmp_path, cfg)
         assert main(["simulate", path, "--out", str(tmp_path / "x")]) == 1
 
+    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config("classic"))
+        (tmp_path / "afile").write_text("")
+        assert main(["simulate", path, "--out", str(tmp_path / "afile")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_realization_flag_and_noise_metrics(self, tmp_path):
         path = write_config(tmp_path, noisy_config())
         out_dir = tmp_path / "noisy"
@@ -522,6 +528,11 @@ class TestReproduceCommand:
         for name in ("nominal_classic.csv", "nominal_twodof.csv"):
             traj = Trajectory.read_csv(out_dir / name)
             assert traj.outputs.shape[1] == 5
+
+    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        assert main(["reproduce", "nominal", "--out", str(tmp_path / "afile")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_scenario(self):
         assert main(["reproduce", "warp"]) == 1

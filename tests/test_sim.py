@@ -115,23 +115,13 @@ def stepped(loop, d, n, y0, dt, T, seed, members):
 
 
 def reference_ensemble(loop, d, n, y0, dt, T, seed, realizations, projection):
-    """(mean, variance, finals, paths) of members stepped one at a time,
-    merged by the Welford update of each member's deviation from member 0."""
-    paths = []
-    for r in range(realizations):
-        y = reference_member(loop, d, n, y0, dt, T, seed, r)
-        paths.append(y)
-        z = y @ projection
-        if r == 0:
-            z0 = z
-            mean, m2 = np.zeros_like(z), np.zeros_like(z)
-            finals = np.empty((realizations, y.shape[1]))
-        x = z - z0
-        delta = x - mean
-        mean += delta / (r + 1)
-        m2 += delta * (x - mean)
-        finals[r] = y[-1]
-    return z0 + mean, m2 / max(realizations - 1, 1), finals, paths
+    """(mean, variance, finals, paths) of members stepped one at a time:
+    the two-pass mean and variance over the members of each node."""
+    paths = [reference_member(loop, d, n, y0, dt, T, seed, r) for r in range(realizations)]
+    z = np.stack([(y * projection).sum(axis=1) for y in paths], axis=1)
+    mean = z.mean(axis=1)
+    variance = np.square(z - mean[:, None]).sum(axis=1) / max(realizations - 1, 1)
+    return mean, variance, np.array([y[-1] for y in paths]), paths
 
 
 class TestSignalSpec:
