@@ -1,6 +1,6 @@
 """agreelab: consensus and 2DOF agreement protocols for LTI agent networks."""
 
-from .numerics import Polynomial, poly_mul, poly_roots, routh_hurwitz_stable
+from .numerics import Polynomial, poly_roots, routh_hurwitz_stable
 from .lti import RationalTF, StateSpace, h2_norm_sq, tf_feedback, tf_to_ss
 from .graph import Graph, find_graphs_by_spectrum, modal_transform
 from .protocol import (

@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .lti import RationalTF
-from .numerics import Polynomial, poly_mul
+from .numerics import Polynomial
 
 __all__ = [
     "FilterParams",
@@ -83,10 +83,7 @@ class FilterParams:
 def make_filter(p: FilterParams) -> RationalTF:
     """Unit-DC-gain third-order filter of the family above."""
     wn, tau, zeta = p.as_tuple()
-    den = poly_mul(
-        Polynomial([1.0, tau]),
-        Polynomial([wn * wn, 2.0 * zeta * wn, 1.0]),
-    )
+    den = Polynomial([1.0, tau]) * Polynomial([wn * wn, 2.0 * zeta * wn, 1.0])
     return RationalTF(Polynomial([wn * wn]), den)
 
 

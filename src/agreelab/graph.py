@@ -16,13 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import sym_eig
-
 __all__ = [
     "Graph",
     "ModalData",
     "adjacency",
-    "degree_matrix",
     "degrees",
     "laplacian",
     "normalized_adjacency",
@@ -72,12 +69,8 @@ def degrees(g: Graph) -> np.ndarray:
     return adjacency(g).sum(axis=1)
 
 
-def degree_matrix(g: Graph) -> np.ndarray:
-    return np.diag(degrees(g))
-
-
 def laplacian(g: Graph) -> np.ndarray:
-    return degree_matrix(g) - adjacency(g)
+    return np.diag(degrees(g)) - adjacency(g)
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
@@ -126,10 +119,9 @@ def modal_transform(g: Graph) -> ModalData:
     A = adjacency(g)
     dinv_half = 1.0 / np.sqrt(d)
     S = A * np.outer(dinv_half, dinv_half)
-    w, V = sym_eig(S)
-    # The Perron column belongs to alpha_1 = 1 and is strictly positive
-    # up to sign; sym_eig already fixed the sign convention.
-    V = V.copy()
+    # eigenvalues descending; S is symmetric by construction
+    w, V = np.linalg.eigh(S)
+    w, V = w[::-1], V[:, ::-1]
     total = float(np.sum(d))
     # scale the alpha=1 eigenvector so that U^{-1} e1 becomes all-ones
     U = V.T * np.sqrt(d)[None, :]
@@ -137,6 +129,8 @@ def modal_transform(g: Graph) -> ModalData:
     c = Uinv[0, 0]
     if c == 0.0:
         raise ValueError("degenerate agreement eigenvector")
+    # the Perron column of alpha_1 = 1 is positive up to a sign, which
+    # the division by c cancels
     Uinv[:, 0] /= c
     U[0, :] *= c
     gamma = d / np.sqrt(total)
@@ -150,6 +144,8 @@ def modal_transform(g: Graph) -> ModalData:
 
 # candidates solved per batched eigvalsh call
 _BLOCK = 512
+# largest deviation of a match from the target, per eigenvalue
+_SPECTRUM_TOL = 1e-9
 # relabelled masks formed per block of _orbit_min: 2 MB of float64, so an
 # n = 8 block is 6 masks against the 40,320 relabellings
 _IMAGES = 1 << 18
@@ -208,11 +204,9 @@ def _connected_classes(n: int) -> np.ndarray:
     return masks
 
 
-def find_graphs_by_spectrum(
-    n: int, target: Sequence[float], tol: float = 1e-9
-) -> list[Graph]:
+def find_graphs_by_spectrum(n: int, target: Sequence[float]) -> list[Graph]:
     """All connected graphs on n nodes (one per isomorphism class) whose
-    Adjn spectrum matches the sorted target within tol per eigenvalue.
+    Adjn spectrum matches the sorted target within 1e-9 per eigenvalue.
 
     Vertex extension: a leaf of a spanning tree is never a cut vertex, so
     every connected graph on n nodes is a connected graph on n - 1 nodes
@@ -231,8 +225,7 @@ def find_graphs_by_spectrum(
     first build the 11,117 classes on 8 nodes, ~18 s of 8! scans, and
     then canonicalise its matches against the 9! relabellings; it needs a
     cheaper canonical form, such as colour refinement or canonical
-    augmentation (McKay, J. Algorithms 1998).  The target must be finite
-    and tol finite and nonnegative.
+    augmentation (McKay, J. Algorithms 1998).  The target must be finite.
     """
     if n < 1:
         raise ValueError("graph needs at least one node")
@@ -241,11 +234,9 @@ def find_graphs_by_spectrum(
     target = np.sort(np.asarray(target, dtype=float))
     if target.size != n:
         raise ValueError("target spectrum must have n entries")
-    # a NaN deviation compares false with tol, so a NaN would match anything
+    # a NaN deviation compares false, so a NaN would match anything
     if not np.all(np.isfinite(target)):
         raise ValueError("target spectrum must be finite")
-    if not 0.0 <= tol < np.inf:
-        raise ValueError("tol must be finite and nonnegative")
     if n == 1:
         return []  # the single node is isolated
     candidates = _extend(_connected_classes(n - 1), n - 1)
@@ -256,7 +247,7 @@ def find_graphs_by_spectrum(
         A = (masks[:, None, None] & bit) != 0
         s = 1.0 / np.sqrt(A.sum(axis=2))
         spec = np.linalg.eigvalsh(A * (s[:, :, None] * s[:, None, :]))
-        matches.append(masks[np.max(np.abs(spec - target), axis=1) <= tol])
+        matches.append(masks[np.max(np.abs(spec - target), axis=1) <= _SPECTRUM_TOL])
     rows, cols = np.triu_indices(n, 1)
     return [
         Graph(n, [(i + 1, j + 1) for i, j in zip(rows, cols) if c & bit[i, j]])

@@ -1,9 +1,9 @@
 """SISO rational transfer functions and MIMO state-space systems.
 
-Rational functions are exact polynomial pairs: interconnection algebra
-never cancels factors implicitly (see :func:`tf_cancel`).  Improper
-objects are legal values -- they arise as plant inverses -- but cannot
-be realized or simulated.
+Rational functions are exact polynomial pairs, combined with the
+operators *, + and -: interconnection algebra never cancels factors
+implicitly (see :func:`tf_cancel`).  Improper objects are legal values
+-- they arise as plant inverses -- but cannot be realized or simulated.
 """
 
 from __future__ import annotations
@@ -13,22 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import (
-    Polynomial,
-    eig_general,
-    lyapunov_solve,
-    poly_mul,
-    poly_sub,
-    poly_roots,
-)
+from .numerics import Polynomial, lyapunov_solve, poly_roots
 
 __all__ = [
     "RationalTF",
     "StateSpace",
     "tf_to_ss",
-    "tf_series",
-    "tf_parallel",
-    "tf_scale",
     "tf_feedback",
     "tf_inverse",
     "tf_cancel",
@@ -39,6 +29,9 @@ __all__ = [
 ]
 
 HURWITZ_MARGIN = 1e-9
+
+# numerator and denominator roots closer than this cancel (tf_cancel)
+CANCEL_TOL = 1e-7
 
 
 class RationalTF:
@@ -72,41 +65,26 @@ class RationalTF:
 
     def __mul__(self, other):
         if isinstance(other, RationalTF):
-            return tf_series(self, other)
-        return tf_scale(self, float(other))
+            return RationalTF(self.num * other.num, self.den * other.den)
+        return RationalTF(self.num.scaled(float(other)), self.den)
 
     __rmul__ = __mul__
 
     def __add__(self, other: "RationalTF") -> "RationalTF":
-        return tf_parallel(self, other)
+        return RationalTF(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RationalTF") -> "RationalTF":
-        return tf_parallel(self, tf_scale(other, -1.0))
+        return self + -other
 
     def __neg__(self) -> "RationalTF":
-        return tf_scale(self, -1.0)
+        return self * -1.0
 
     def approx_equal(self, other: "RationalTF", rtol: float = 1e-9) -> bool:
         """Equality as rational functions: num1*den2 == num2*den1."""
-        return poly_mul(self.num, other.den).approx_equal(
-            poly_mul(other.num, self.den), rtol
-        )
+        return (self.num * other.den).approx_equal(other.num * self.den, rtol)
 
     def __repr__(self) -> str:
         return f"RationalTF({self.num.coeffs.tolist()}, {self.den.coeffs.tolist()})"
-
-
-def tf_series(g1: RationalTF, g2: RationalTF) -> RationalTF:
-    return RationalTF(poly_mul(g1.num, g2.num), poly_mul(g1.den, g2.den))
-
-
-def tf_parallel(g1: RationalTF, g2: RationalTF) -> RationalTF:
-    num = poly_mul(g1.num, g2.den) + poly_mul(g2.num, g1.den)
-    return RationalTF(num, poly_mul(g1.den, g2.den))
-
-
-def tf_scale(g: RationalTF, c: float) -> RationalTF:
-    return RationalTF(g.num.scaled(c), g.den)
 
 
 def tf_inverse(g: RationalTF) -> RationalTF:
@@ -122,16 +100,15 @@ def tf_feedback(p: RationalTF, f: RationalTF) -> tuple[RationalTF, RationalTF]:
     plant-denominator factor of Td is cancelled exactly by
     construction, not numerically.
     """
-    den_cl = poly_sub(poly_mul(p.den, f.den), poly_mul(p.num, f.num))
+    den_open = p.den * f.den
+    den_cl = den_open - p.num * f.num
     if den_cl.is_zero:
         raise ZeroDivisionError("algebraic loop: 1 - p*f vanishes identically")
-    S = RationalTF(poly_mul(p.den, f.den), den_cl)
-    Td = RationalTF(poly_mul(p.num, f.den), den_cl)
-    return S, Td
+    return RationalTF(den_open, den_cl), RationalTF(p.num * f.den, den_cl)
 
 
-def tf_cancel(g: RationalTF, tol: float = 1e-7) -> RationalTF:
-    """Remove numerator/denominator root pairs closer than tol.
+def tf_cancel(g: RationalTF) -> RationalTF:
+    """Remove numerator/denominator root pairs closer than CANCEL_TOL.
 
     Pairs are matched greedily by absolute distance.  The result agrees
     with g away from the cancelled dynamics.
@@ -149,7 +126,7 @@ def tf_cancel(g: RationalTF, tol: float = 1e-7) -> RationalTF:
                 d = abs(z - q)
                 if best is None or d < best[0]:
                     best = (d, i, j)
-        if best is not None and best[0] < tol:
+        if best is not None and best[0] < CANCEL_TOL:
             zeros.pop(best[1])
             poles.pop(best[2])
             changed = True
@@ -158,15 +135,15 @@ def tf_cancel(g: RationalTF, tol: float = 1e-7) -> RationalTF:
     return RationalTF(num, den)
 
 
-def tf_poles(g: RationalTF, tol: float = 1e-7) -> np.ndarray:
-    gc = tf_cancel(g, tol)
+def tf_poles(g: RationalTF) -> np.ndarray:
+    gc = tf_cancel(g)
     if gc.den.degree < 1:
         return np.zeros(0, dtype=complex)
     return poly_roots(gc.den)
 
 
-def tf_zeros(g: RationalTF, tol: float = 1e-7) -> np.ndarray:
-    gc = tf_cancel(g, tol)
+def tf_zeros(g: RationalTF) -> np.ndarray:
+    gc = tf_cancel(g)
     if gc.num.is_zero or gc.num.degree < 1:
         return np.zeros(0, dtype=complex)
     return poly_roots(gc.num)
@@ -293,8 +270,7 @@ def h2_norm_sq(g: RationalTF | StateSpace) -> float:
             raise ValueError("H2 undefined: system has direct feedthrough")
         if ss.nstates == 0:
             return 0.0
-        ev = eig_general(ss.A)
-        if np.max(ev.real) >= -HURWITZ_MARGIN:
+        if np.max(np.linalg.eigvals(ss.A).real) >= -HURWITZ_MARGIN:
             raise ValueError("H2 undefined: marginal or unstable poles")
     else:
         raise TypeError("expected RationalTF or StateSpace")

@@ -3,7 +3,8 @@
 Everything in the package is small and dense: polynomials up to degree
 ~10 and state matrices up to a few hundred entries per side.  numpy's
 LAPACK bindings do the heavy lifting; this module adds the polynomial
-layer, the Routh-Hurwitz table and a Lyapunov solver on top.
+layer, the Routh-Hurwitz table and a Lyapunov solver on top.  Polynomial
+arithmetic is written with the operators *, + and -.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ import numpy as np
 
 __all__ = [
     "Polynomial",
-    "poly_mul",
     "poly_sub",
     "poly_roots",
     "routh_hurwitz_stable",
-    "sym_eig",
-    "eig_general",
     "lyapunov_solve",
     "is_symmetric",
 ]
@@ -92,16 +90,8 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scaled(-1.0)
 
-    def __neg__(self) -> "Polynomial":
-        return self.scaled(-1.0)
-
     def scaled(self, c: float) -> "Polynomial":
         return Polynomial(self.coeffs * c)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic form")
-        return self.scaled(1.0 / self.leading)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -147,19 +137,10 @@ class Polynomial:
         return f"Polynomial({self.coeffs.tolist()})"
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact coefficient convolution; degree(ab) = degree(a) + degree(b)."""
-    return a * b
-
-
 def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a - b.  The package writes the operator; this public name stays
+    because the acceptance tests import it."""
     return a - b
-
-
-def _sorted_conjugate_pairs(roots: np.ndarray) -> np.ndarray:
-    """Sort roots so conjugate pairs sit next to each other."""
-    order = np.lexsort((roots.imag, np.abs(roots.imag), roots.real))
-    return roots[order]
 
 
 def poly_roots(p: Polynomial) -> np.ndarray:
@@ -171,7 +152,7 @@ def poly_roots(p: Polynomial) -> np.ndarray:
         raise ValueError("undefined roots: zero polynomial")
     if p.degree < 1:
         raise ValueError("roots require degree >= 1")
-    c = p.monic().coeffs
+    c = p.scaled(1.0 / p.leading).coeffs
     n = p.degree
     comp = np.zeros((n, n))
     if n > 1:
@@ -191,7 +172,8 @@ def poly_roots(p: Polynomial) -> np.ndarray:
             if v < best_val:
                 best, best_val = z, v
         roots[i] = best
-    return _sorted_conjugate_pairs(roots)
+    # conjugate pairs sit next to each other
+    return roots[np.lexsort((roots.imag, np.abs(roots.imag), roots.real))]
 
 
 def routh_hurwitz_stable(p: Polynomial) -> bool:
@@ -241,38 +223,6 @@ def is_symmetric(m: np.ndarray, tol: float = 1e-12) -> bool:
         return False
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     return bool(np.max(np.abs(m - m.T), initial=0.0) <= tol * scale)
-
-
-def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues descending, V with orthonormal eigenvector
-    columns, S V = V diag).  Column signs are fixed so the first entry
-    above round-off is positive, which keeps downstream golden outputs
-    deterministic.
-    """
-    S = np.asarray(S, dtype=float)
-    if not is_symmetric(S):
-        raise ValueError("sym_eig requires a symmetric matrix")
-    w, v = np.linalg.eigh(S)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.linalg.norm(col))[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
-    return w, v
-
-
-def eig_general(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a general square matrix, conjugate pairs adjacent."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("eig_general requires a square matrix")
-    if A.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    return _sorted_conjugate_pairs(np.linalg.eigvals(A))
 
 
 def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -46,11 +46,10 @@ from .lti import (
     tf_feedback,
     tf_inverse,
     tf_poles,
-    tf_series,
     tf_to_ss,
     tf_zeros,
 )
-from .numerics import poly_roots, poly_sub
+from .numerics import poly_roots
 
 __all__ = [
     "AgentModel",
@@ -274,7 +273,7 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     if not F.is_proper:
         raise ValueError("shared filter must be proper")
     deg = degrees(g)
-    bank = [tf_to_ss(tf_series(F, RationalTF.constant(k[i] * deg[i]))) for i in range(nu)]
+    bank = [tf_to_ss(F * RationalTF.constant(k[i] * deg[i])) for i in range(nu)]
     plants = [tf_to_ss(a.plant) for a in agents]
     My = adjn - np.eye(nu)
     Mn = np.eye(nu)
@@ -294,7 +293,7 @@ def _local_loop(agent: AgentModel, index: int) -> tuple[RationalTF, RationalTF]:
 
 
 def _feedforward(agent: AgentModel, fa: RationalTF, index: int) -> RationalTF:
-    kff = tf_series(tf_inverse(agent.plant) - agent.local_controller, fa)
+    kff = (tf_inverse(agent.plant) - agent.local_controller) * fa
     if not kff.is_proper:
         raise ValueError(
             f"agent {index}: consistency condition unrealizable (improper feedforward)"
@@ -332,7 +331,7 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
 
 def mode_transfer(fa: RationalTF, alpha: float) -> RationalTF:
     """T = 1/(1 - alpha Fa) as an exact rational identity."""
-    den = poly_sub(fa.den, fa.num.scaled(alpha))
+    den = fa.den - fa.num.scaled(alpha)
     if den.is_zero:
         raise ZeroDivisionError("1 - alpha*Fa vanishes identically")
     return RationalTF(fa.den, den)
@@ -410,9 +409,7 @@ def modal_analysis(
     )
 
 
-def check_cancellation(
-    p: complex, loop_tfs: Sequence[RationalTF], tol: float = IMAG_AXIS_TOL
-) -> CancellationVerdict:
+def check_cancellation(p: complex, loop_tfs: Sequence[RationalTF]) -> CancellationVerdict:
     """Necessary condition for an agreement pole p to cancel against the
     local loops: p must be a zero of every supplied transfer.
 
@@ -420,12 +417,12 @@ def check_cancellation(
     cancellation; it can only exclude cancellation, never prove it.
     """
     p = complex(p)
-    if abs(p.real) > tol:
+    if abs(p.real) > IMAG_AXIS_TOL:
         raise ValueError("cancellation check applies to imaginary-axis poles only")
     vanishes = []
     for tf in loop_tfs:
         zeros = tf_zeros(tf)  # none for a zero transfer, which vanishes everywhere
-        near = bool(zeros.size) and float(np.min(np.abs(zeros - p))) <= tol
+        near = bool(zeros.size) and float(np.min(np.abs(zeros - p))) <= IMAG_AXIS_TOL
         vanishes.append(tf.num.is_zero or near)
     return CancellationVerdict(pole=p, holds=all(vanishes), vanishes=vanishes)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .graph import modal_transform
 from .protocol import classic_noise_disagreement_variance
-from .sim import DRIFT_MIN_REALIZATIONS, SETTLING_BAND, EnsembleStats, Trajectory, integrate
+from .sim import SETTLING_BAND, EnsembleStats, Trajectory, integrate
 from .sim import least_squares_slope, run_ensemble, settling_time
 
 __all__ = ["SCENARIOS", "load_scenario", "run_config", "run_scenario"]
@@ -54,8 +54,8 @@ def run_config(
     """Every run of a configuration: (paths, reference, stats, drift slope).
     A noisy one is the ensemble of its agreement-mode projection, with
     members 0..keep-1 as paths, the final consensus of its noise-free twin
-    as the reference, and a slope, None below the DRIFT_MIN_REALIZATIONS
-    realizations it needs.
+    as the reference, and its drift slope (None where the slope is
+    undefined, see EnsembleStats.drift_slope).
     A noise-free one is one path, its final mean output, None and None."""
     loop = cfg.build_loop()
     if not cfg.has_noise:
@@ -66,8 +66,7 @@ def run_config(
         seed=seed, realizations=realizations, projection=modal_transform(cfg.graph).U[0],
         keep=keep,
     )
-    slope = stats.drift_slope() if realizations >= DRIFT_MIN_REALIZATIONS else None
-    return stats.paths, stats.reference, stats, slope
+    return stats.paths, stats.reference, stats, stats.drift_slope()
 
 
 def _mean_output_slope(traj: Trajectory, window: tuple[float, float]) -> float:

@@ -117,11 +117,10 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Outputs on a uniform time grid."""
+    """Outputs on a uniform time grid of at least two points."""
 
     times: np.ndarray
     outputs: np.ndarray
-    dt: float
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -130,8 +129,14 @@ class Trajectory:
             y = y[:, None]
         if t.ndim != 1 or y.shape[0] != t.size:
             raise ValueError("times and outputs are inconsistent")
+        if t.size < 2:
+            raise ValueError("trajectory needs at least two grid points")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "outputs", y)
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
 
     @property
     def nagents(self) -> int:
@@ -162,10 +167,7 @@ class Trajectory:
             with warnings.catch_warnings():  # a header-only file fails below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.shape[0] < 2:
-            raise ValueError("trajectory CSV needs at least two grid points")
-        times = data[:, 0]
-        return Trajectory(times=times, outputs=data[:, 1:], dt=float(times[1] - times[0]))
+        return Trajectory(times=data[:, 0], outputs=data[:, 1:])
 
 
 def rk4_transition(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +334,7 @@ def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
     y = np.empty((prep.nsteps + 1, loop.nagents))
     for k0, block in prep.blocks(None, [0]):
         y[k0:k0 + block.shape[0]] = block[:, 0]
-    return Trajectory(times=prep.times, outputs=y, dt=dt)
+    return Trajectory(times=prep.times, outputs=y)
 
 
 def member_seed(master_seed: int, realization: int) -> np.random.SeedSequence:
@@ -354,17 +356,13 @@ class EnsembleStats:
     reference: float
     paths: list[Trajectory]
 
-    def drift_slope(self) -> float:
-        """Least-squares slope of the variance over [T/2, T]; at least
-        DRIFT_MIN_REALIZATIONS realizations are required."""
-        if self.count < DRIFT_MIN_REALIZATIONS:
-            raise ValueError(f"drift slope requires at least {DRIFT_MIN_REALIZATIONS} realizations")
-        T = self.times[-1]
-        mask = self.times >= T / 2.0 - 1e-12
-        t = self.times[mask]
-        if t.size < 2:
-            raise ValueError("drift window contains fewer than two samples")
-        return least_squares_slope(t, self.variance[mask])
+    def drift_slope(self) -> float | None:
+        """Least-squares slope of the variance over [T/2, T]; None below
+        DRIFT_MIN_REALIZATIONS realizations or two grid nodes in the window."""
+        mask = self.times >= self.times[-1] / 2.0 - 1e-12
+        if self.count < DRIFT_MIN_REALIZATIONS or np.count_nonzero(mask) < 2:
+            return None
+        return least_squares_slope(self.times[mask], self.variance[mask])
 
 
 def least_squares_slope(t: np.ndarray, v: np.ndarray) -> float:
@@ -415,17 +413,17 @@ def run_ensemble(
         variance=variance,
         finals=y[-1, 1:].copy(),
         reference=float(np.mean(y[-1, 0])),
-        paths=[Trajectory(times=prep.times, outputs=path, dt=dt) for path in kept],
+        paths=[Trajectory(times=prep.times, outputs=path) for path in kept],
     )
 
 
-def settling_time(traj: Trajectory, band: float = SETTLING_BAND) -> float:
+def settling_time(traj: Trajectory) -> float:
     """Smallest grid time after which every output stays within
-    band * initial deviation of the terminal consensus value."""
+    SETTLING_BAND * initial deviation of the terminal consensus value."""
     y = traj.outputs
     y_final = float(np.mean(y[-1]))
     dev = np.max(np.abs(y - y_final), axis=1)
-    threshold = band * np.max(np.abs(y[0] - y_final))
+    threshold = SETTLING_BAND * np.max(np.abs(y[0] - y_final))
     above = np.nonzero(dev > threshold)[0]
     if above.size == 0:
         return 0.0

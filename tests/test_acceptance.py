@@ -85,7 +85,7 @@ def random_stabilizing_fd(rng):
 
 def test_criterion_01_graph_recovery():
     t0 = time.perf_counter()
-    found = find_graphs_by_spectrum(5, DART_SPECTRUM, 1e-9)
+    found = find_graphs_by_spectrum(5, DART_SPECTRUM)
     elapsed = time.perf_counter() - t0
     unique = len(found) == 1
     spectrum_ok = False

@@ -358,6 +358,14 @@ class TestSimulateCommand:
         written = sorted(out_dir.glob("trajectory_r*.csv"))
         assert len(written) == 0
 
+    def test_one_step_horizon_has_no_drift_slope(self, tmp_path, capsys):
+        # [T/2, T] holds one grid node, so the slope is undefined, not an error
+        path = write_config(tmp_path, noisy_config(T=0.001))
+        out_dir = tmp_path / "short"
+        assert main(["simulate", path, "--out", str(out_dir), "--realizations", "30"]) == 0
+        assert json.loads((out_dir / "metrics.json").read_text())["drift_slope"] is None
+        assert "drift_slope None" in capsys.readouterr().out
+
     def test_ensemble_integrates_each_path_once(self, tmp_path, monkeypatch):
         # 30 members, member 0 among them, plus the noise-free twin
         path = write_config(tmp_path, noisy_config(T=2.0))

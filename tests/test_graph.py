@@ -10,7 +10,6 @@ from agreelab.graph import (
     Graph,
     _connected_classes,
     adjacency,
-    degree_matrix,
     degrees,
     find_graphs_by_spectrum,
     format_graph_text,
@@ -167,7 +166,7 @@ class TestGraphBasics:
         assert np.allclose(normalized_adjacency(DART).sum(axis=1), 1.0)
 
     def test_degree_matrix(self):
-        assert np.allclose(np.diag(degree_matrix(DART)), [4, 3, 2, 2, 1])
+        assert np.allclose(np.diag(laplacian(DART)), [4, 3, 2, 2, 1])
 
 
 class TestConnectivity:
@@ -204,6 +203,7 @@ class TestModalTransform:
             adjn = normalized_adjacency(g)
             diag = md.U @ adjn @ md.Uinv
             assert np.max(np.abs(diag - np.diag(md.alphas))) <= 1e-9
+            assert np.all(np.diff(md.alphas) <= 0.0)  # descending
             assert np.max(np.abs(md.Uinv[:, 0] - 1.0)) <= 1e-9
             W = md.U / np.sqrt(degrees(g))[None, :]
             gram = W @ W.T
@@ -268,17 +268,17 @@ class TestModalTransform:
 
 class TestSpectrumSearch:
     def test_single_edge(self):
-        found = find_graphs_by_spectrum(2, [1.0, -1.0], 1e-9)
+        found = find_graphs_by_spectrum(2, [1.0, -1.0])
         assert len(found) == 1
         assert found[0].edge_list == [(1, 2)]
 
     def test_triangle(self):
-        found = find_graphs_by_spectrum(3, [1.0, -0.5, -0.5], 1e-9)
+        found = find_graphs_by_spectrum(3, [1.0, -0.5, -0.5])
         assert len(found) == 1
         assert len(found[0].edges) == 3
 
     def test_dart_is_unique_match(self):
-        found = find_graphs_by_spectrum(5, DART_SPECTRUM, 1e-9)
+        found = find_graphs_by_spectrum(5, DART_SPECTRUM)
         assert len(found) == 1
         g = found[0]
         assert sorted(degrees(g).tolist(), reverse=True) == [4, 3, 2, 2, 1]
@@ -290,41 +290,35 @@ class TestSpectrumSearch:
     def test_dart_structure(self):
         # K4 minus one edge plus a pendant on a degree-3 vertex, ordered
         # by descending degree
-        found = find_graphs_by_spectrum(5, DART_SPECTRUM, 1e-9)
+        found = find_graphs_by_spectrum(5, DART_SPECTRUM)
         g = found[0]
         md = modal_transform(g)
         assert np.allclose(np.sort(md.alphas), np.sort(DART_SPECTRUM), atol=1e-10)
 
     def test_no_match_returns_empty(self):
-        assert find_graphs_by_spectrum(3, [1.0, 0.3, -0.9], 1e-9) == []
+        assert find_graphs_by_spectrum(3, [1.0, 0.3, -0.9]) == []
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
-            find_graphs_by_spectrum(9, [0.0] * 9, 1e-9)
+            find_graphs_by_spectrum(9, [0.0] * 9)
 
     def test_no_nodes_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
-            find_graphs_by_spectrum(0, [], 1e-9)
+            find_graphs_by_spectrum(0, [])
 
     @pytest.mark.parametrize(
-        "target, tol",
-        [
-            ([np.nan, 0.0, 0.0, 0.0], 1e-9),
-            ([1.0, np.inf, -0.5, -0.5], 1e-9),
-            ([1.0, 0.0, -0.5, -0.5], np.nan),
-            ([1.0, 0.0, -0.5, -0.5], np.inf),
-            ([1.0, 0.0, -0.5, -0.5], -1e-9),
-        ],
-        ids=["nan-target", "inf-target", "nan-tol", "inf-tol", "negative-tol"],
+        "target",
+        [[np.nan, 0.0, 0.0, 0.0], [1.0, np.inf, -0.5, -0.5]],
+        ids=["nan-target", "inf-target"],
     )
-    def test_nonfinite_target_or_bad_tol_rejected(self, target, tol):
-        # a NaN deviation never exceeds tol, so it used to match every class
-        with pytest.raises(ValueError, match="finite|nonnegative"):
-            find_graphs_by_spectrum(4, target, tol)
+    def test_nonfinite_target_or_bad_tol_rejected(self, target):
+        # a NaN deviation never exceeds the tolerance, so it used to match every class
+        with pytest.raises(ValueError, match="finite"):
+            find_graphs_by_spectrum(4, target)
 
     def test_single_node_matches_nothing(self):
         # the one node is isolated, so Adjn is undefined
-        assert find_graphs_by_spectrum(1, [1.0], 1e-9) == []
+        assert find_graphs_by_spectrum(1, [1.0]) == []
 
     def test_matches_dfs_filtered_enumeration(self):
         # every distinct spectrum of a graph without isolated nodes at
@@ -363,13 +357,13 @@ class TestSpectrumSearch:
                     c for sp, conn, c in graphs
                     if conn and np.max(np.abs(sp - spec)) <= 1e-9
                 }
-                found = find_graphs_by_spectrum(n, spec, 1e-9)
+                found = find_graphs_by_spectrum(n, spec)
                 got = [canonical(n, [(i - 1, j - 1) for i, j in g.edges]) for g in found]
                 assert len(got) == len(set(got))
                 assert set(got) == expected, (n, spec)
 
     def test_two_disjoint_edges_match_nothing(self):
-        assert find_graphs_by_spectrum(4, [1.0, 1.0, -1.0, -1.0], 1e-9) == []
+        assert find_graphs_by_spectrum(4, [1.0, 1.0, -1.0, -1.0]) == []
 
     def test_matches_are_complete_at_six_nodes(self):
         # every labelled 6-node mask, solved one at a time: the classes found
@@ -404,7 +398,7 @@ class TestSpectrumSearch:
         counts = []
         for source in sources:
             target = np.sort(np.linalg.eigvals(normalized_adjacency(source)).real)
-            found = find_graphs_by_spectrum(n, target, 1e-9)
+            found = find_graphs_by_spectrum(n, target)
             forms = [canonical([(i - 1, j - 1) for i, j in g.edges]) for g in found]
             assert canonical([(i - 1, j - 1) for i, j in source.edges]) in forms
             assert len(set(forms)) == len(forms)
@@ -420,20 +414,20 @@ class TestSpectrumSearch:
         monkeypatch.setattr(np.linalg, "eigvalsh", enumerated)
         monkeypatch.setattr("agreelab.graph._extend", enumerated)
         with pytest.raises(ValueError, match="n = 8"):
-            find_graphs_by_spectrum(9, [0.0] * 9, 1e-9)
+            find_graphs_by_spectrum(9, [0.0] * 9)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_brute_force_at_every_spectrum(self, n):
         targets = connected_spectra(n)
         expected = brute_force_search(n, targets)
         for target, graphs in zip(targets, expected):
-            assert find_graphs_by_spectrum(n, target, 1e-9) == graphs, (n, target)
+            assert find_graphs_by_spectrum(n, target) == graphs, (n, target)
         # every class matches its own spectrum
         assert len({g for graphs in expected for g in graphs}) == CONNECTED_CLASSES[n - 1]
 
     def test_dart_matches_brute_force(self):
         expected = brute_force_search(5, [DART_SPECTRUM])[0]
-        assert find_graphs_by_spectrum(5, DART_SPECTRUM, 1e-9) == expected
+        assert find_graphs_by_spectrum(5, DART_SPECTRUM) == expected
 
     def test_class_counts(self):
         # the 11,117 classes at n = 8 take ~18 s (all 108,331 candidates
@@ -445,7 +439,7 @@ class TestSpectrumSearch:
     def test_random_graph_found_by_its_spectrum(self, n, p, seed):
         source = random_connected_graph(np.random.default_rng(seed), n, p)
         target = adjn_spectrum(source)
-        found = find_graphs_by_spectrum(n, target, 1e-9)
+        found = find_graphs_by_spectrum(n, target)
         # each match is labelled by its orbit's smallest mask, ascending
         masks = [edge_mask(g) for g in found]
         assert masks == sorted(set(masks))
@@ -458,10 +452,10 @@ class TestSpectrumSearch:
         # blocks of _orbit_min and eigvalsh bound the peak; measured 12.6 MB,
         # of which 9.0 MB is the float image of the 28 bits under 8! relabellings
         target = adjn_spectrum(random_connected_graph(np.random.default_rng(83), 8, 0.5))
-        find_graphs_by_spectrum(5, DART_SPECTRUM, 1e-9)  # first-call imports are not the search's memory
+        find_graphs_by_spectrum(5, DART_SPECTRUM)  # first-call imports are not the search's memory
         tracemalloc.start()
         try:
-            found = find_graphs_by_spectrum(8, target, 1e-9)
+            found = find_graphs_by_spectrum(8, target)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

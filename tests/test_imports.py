@@ -1,6 +1,8 @@
-"""Module boundaries: no agreelab module reaches into another's private names."""
+"""Module boundaries: no agreelab module reaches into another's private names,
+and every name a module lists in __all__ exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import agreelab
@@ -35,6 +37,15 @@ def test_no_module_imports_a_private_name():
         if (names := private_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def test_every_public_name_resolves():
+    unresolved = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("agreelab" if path.stem == "__init__" else f"agreelab.{path.stem}")
+        if names := [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]:
+            unresolved[path.name] = names
+    assert unresolved == {}
 
 
 def test_guard_sees_private_imports():

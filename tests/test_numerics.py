@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from agreelab.numerics import (
     Polynomial,
-    eig_general,
     is_symmetric,
     lyapunov_solve,
-    poly_mul,
     poly_roots,
     routh_hurwitz_stable,
-    sym_eig,
 )
 
 
@@ -65,12 +62,12 @@ class TestPolynomial:
 class TestPolyMul:
     def test_difference_of_squares(self):
         # (s+1)(s-1) = s^2 - 1
-        p = poly_mul(poly(1.0, 1.0), poly(-1.0, 1.0))
+        p = poly(1.0, 1.0) * poly(-1.0, 1.0)
         assert p.coeffs.tolist() == [-1.0, 0.0, 1.0]
 
     def test_shift_by_monomial(self):
         # (s+2) * s^2 = s^3 + 2 s^2
-        p = poly_mul(poly(2.0, 1.0), poly(0.0, 0.0, 1.0))
+        p = poly(2.0, 1.0) * poly(0.0, 0.0, 1.0)
         assert p.coeffs.tolist() == [0.0, 0.0, 2.0, 1.0]
 
     def test_third_order_filter_denominator(self):
@@ -78,7 +75,7 @@ class TestPolyMul:
         a = [1.0, 5.0]
         b = [9.0, 12.0, 1.0]
         expected = naive_convolve(a, b)
-        p = poly_mul(poly(*a), poly(*b))
+        p = poly(*a) * poly(*b)
         assert np.allclose(p.coeffs, expected)
         assert p.coeffs.tolist() == [9.0, 57.0, 61.0, 5.0]
 
@@ -88,7 +85,7 @@ class TestPolyMul:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_naive_convolution(self, a, b):
-        got = poly_mul(Polynomial(a), Polynomial(b))
+        got = Polynomial(a) * Polynomial(b)
         want = Polynomial(naive_convolve(a, b))
         assert got.approx_equal(want, rtol=1e-12)
 
@@ -97,7 +94,7 @@ class TestPolyMul:
         for _ in range(50):
             a = Polynomial(rng.uniform(0.5, 2.0, rng.integers(1, 6)))
             b = Polynomial(rng.uniform(0.5, 2.0, rng.integers(1, 6)))
-            assert poly_mul(a, b).degree == a.degree + b.degree
+            assert (a * b).degree == a.degree + b.degree
 
 
 class TestPolyRoots:
@@ -143,7 +140,7 @@ class TestPolyRoots:
             assert np.allclose(got, roots, atol=1e-7)
 
     def test_conjugate_pairs_adjacent(self):
-        p = poly_mul(poly(2.0, 0.0, 1.0), poly(5.0, 2.0, 1.0))
+        p = poly(2.0, 0.0, 1.0) * poly(5.0, 2.0, 1.0)
         r = poly_roots(p)
         assert r[0] == r[1].conjugate()
         assert r[2] == r[3].conjugate()
@@ -197,63 +194,6 @@ class TestRouthHurwitz:
             stable_oracle = max(r.real for r in roots) < 0
             assert routh_hurwitz_stable(p) == stable_oracle
             checked += 1
-
-
-class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(3))
-        assert np.allclose(w, 1.0)
-        assert np.allclose(v.T @ v, np.eye(3))
-
-    def test_two_cycle(self):
-        w, _ = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_dart_normalized_adjacency_spectrum(self):
-        A = np.zeros((5, 5))
-        for i, j in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]:
-            A[i, j] = A[j, i] = 1.0
-        d = A.sum(axis=1)
-        S = A / np.sqrt(np.outer(d, d))
-        w, _ = sym_eig(S)
-        expected = [1.0, (np.sqrt(33) - 3) / 12, 0.0, -0.5, -(np.sqrt(33) + 3) / 12]
-        assert np.allclose(w, expected, atol=1e-12)
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n = rng.integers(2, 21)
-            m = rng.normal(size=(n, n))
-            S = 0.5 * (m + m.T)
-            w, v = sym_eig(S)
-            assert np.linalg.norm(v.T @ S @ v - np.diag(w)) <= 1e-9 * max(1.0, np.linalg.norm(S))
-            assert np.all(np.diff(w) <= 1e-12)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestEigGeneral:
-    def test_diagonal(self):
-        ev = eig_general(np.diag([-1.0, -2.0]))
-        assert np.allclose(sorted(ev.real), [-2.0, -1.0])
-
-    def test_rotation_generator(self):
-        ev = eig_general(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert np.allclose(sorted(ev.imag), [-1.0, 1.0])
-        assert np.allclose(ev.real, 0.0, atol=1e-12)
-
-    def test_companion_matches_poly_roots(self):
-        p = poly(9.0, 12.0, 1.0)
-        comp = np.array([[0.0, 1.0], [-9.0, -12.0]])
-        ev = np.sort(eig_general(comp).real)
-        roots = np.sort(poly_roots(p).real)
-        assert np.allclose(ev, roots, atol=1e-9)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            eig_general(np.zeros((2, 3)))
 
 
 class TestLyapunov:

@@ -416,25 +416,25 @@ class TestMemory:
 class TestMetrics:
     def test_settling_constant_trajectory(self):
         t = np.arange(11) * 0.1
-        traj = Trajectory(times=t, outputs=np.ones((11, 3)), dt=0.1)
+        traj = Trajectory(times=t, outputs=np.ones((11, 3)))
         assert settling_time(traj) == 0.0
 
     def test_settling_exponential(self):
         # horizon long enough that the terminal residue is negligible
         loop = scalar_loop(-1.0)
         traj = integrate(loop, ZERO, ZERO, [1.0], 1e-3, 16.0)
-        assert settling_time(traj, band=0.02) == pytest.approx(np.log(50.0), abs=1e-3)
+        assert settling_time(traj) == pytest.approx(np.log(50.0), abs=1e-3)
 
     def test_settling_unsettled_raises(self):
         t = np.arange(11) * 0.1
         y = np.linspace(0, 1, 11)[:, None] * np.array([[1.0, -1.0]])
-        traj = Trajectory(times=t, outputs=y, dt=0.1)
+        traj = Trajectory(times=t, outputs=y)
         with pytest.raises(RuntimeError, match="unsettled"):
             settling_time(traj)
 
     def test_index_at_off_grid(self):
         t = np.arange(3) * 1.0
-        traj = Trajectory(times=t, outputs=np.zeros((3, 2)), dt=1.0)
+        traj = Trajectory(times=t, outputs=np.zeros((3, 2)))
         assert traj.index_at(2.0) == 2
         with pytest.raises(ValueError, match="grid"):
             traj.index_at(0.5)
@@ -447,8 +447,7 @@ class TestMetrics:
             loop, ZERO, SignalSpec.white_noise(1.0), [0.0], 1e-2, 1.0,
             seed=0, realizations=29, projection=[1.0],
         )
-        with pytest.raises(ValueError, match="30"):
-            stats.drift_slope()
+        assert stats.drift_slope() is None
 
     def test_drift_slope_list_matches_stats(self):
         # the slope of the members' two-pass variance over [T/2, T]
@@ -499,7 +498,7 @@ class TestTrajectoryCsv:
     def assert_written_as_csv_writer(self, tmp_path, outputs):
         """write_csv gives the bytes of csv.writer with %.17g values, and
         reads back bit for bit."""
-        traj = Trajectory(times=np.arange(outputs.shape[0]) * 0.1, outputs=outputs, dt=0.1)
+        traj = Trajectory(times=np.arange(outputs.shape[0]) * 0.1, outputs=outputs)
         ref = tmp_path / "ref.csv"
         with ref.open("w", newline="") as fh:
             writer = csv.writer(fh)
