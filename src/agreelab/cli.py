@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config, load_design
 from .design import design_filter, feasible, h2_drift
 from .graph import is_connected, modal_transform, read_graph
-from .protocol import check_agreement, check_cancellation, modal_analysis
+from .protocol import TwoDofConfig, check_agreement, check_cancellation, modal_analysis
 from .scenarios import SCENARIOS, run_config, run_scenario
 from .sim import SimulationDiverged, settling_time
 
@@ -89,10 +89,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
-    if cfg.protocol != "twodof":
+    if not isinstance(cfg.protocol, TwoDofConfig):
         raise ConfigError("config.protocol", "check applies to twodof configurations")
-    analysis = modal_analysis(cfg.graph, cfg.agents, cfg.twodof)
-    cert = check_agreement(cfg.twodof.network_filter, analysis.alphas)
+    analysis = modal_analysis(cfg.graph, cfg.agents, cfg.protocol)
+    cert = check_agreement(cfg.protocol.network_filter, analysis.alphas)
     print(f"agreement {'PASS' if cert.passed else 'FAIL'}")
     for alpha in analysis.alphas:
         reasons = [r for a, r in cert.failures if a == float(alpha)]

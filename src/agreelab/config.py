@@ -136,9 +136,7 @@ def _parse_signal_bank(obj: Any, path: str, nu: int) -> list[SignalSpec]:
 class ExperimentConfig:
     graph: Graph
     agents: list[AgentModel]
-    protocol: str  # "classic" | "twodof"
-    classic: ClassicConfig | None
-    twodof: TwoDofConfig | None
+    protocol: ClassicConfig | TwoDofConfig
     signals_d: list[SignalSpec]
     signals_n: list[SignalSpec]
     dt: float
@@ -179,7 +177,6 @@ class ExperimentConfig:
         if not isinstance(proto_obj, dict) or "type" not in proto_obj:
             raise ConfigError("config.protocol", "expected an object with a 'type'")
         ptype = proto_obj["type"]
-        classic = twodof = None
         if ptype == "classic":
             _require_keys(proto_obj, "config.protocol", {"type", "k"}, {"filter"})
             k = proto_obj["k"]
@@ -189,7 +186,7 @@ class ExperimentConfig:
                 if "filter" in proto_obj
                 else RationalTF.constant(1.0)
             )
-            classic = ClassicConfig(gains=gains, shared_filter=filt)
+            protocol = ClassicConfig(gains=gains, shared_filter=filt)
         elif ptype == "twodof":
             _require_keys(proto_obj, "config.protocol", {"type", "network_filter"})
             nf = proto_obj["network_filter"]
@@ -206,7 +203,7 @@ class ExperimentConfig:
                 fa = make_filter(filter_params)
             else:
                 fa = _parse_tf(nf, "config.protocol.network_filter")
-            twodof = TwoDofConfig(network_filter=fa)
+            protocol = TwoDofConfig(network_filter=fa)
         else:
             raise ConfigError("config.protocol.type", f"unknown protocol {ptype!r}")
 
@@ -235,9 +232,7 @@ class ExperimentConfig:
         return ExperimentConfig(
             graph=graph,
             agents=agents,
-            protocol=ptype,
-            classic=classic,
-            twodof=twodof,
+            protocol=protocol,
             signals_d=signals_d,
             signals_n=signals_n,
             dt=dt,
@@ -248,9 +243,8 @@ class ExperimentConfig:
         )
 
     def build_loop(self):
-        if self.protocol == "classic":
-            return build_classic(self.graph, self.agents, self.classic)
-        return build_2dof(self.graph, self.agents, self.twodof)
+        build = build_classic if isinstance(self.protocol, ClassicConfig) else build_2dof
+        return build(self.graph, self.agents, self.protocol)
 
     @property
     def has_noise(self) -> bool:

@@ -27,7 +27,6 @@ __all__ = [
     "modal_transform",
     "find_graphs_by_spectrum",
     "parse_graph_text",
-    "format_graph_text",
     "read_graph",
 ]
 
@@ -256,12 +255,6 @@ def find_graphs_by_spectrum(n: int, target: Sequence[float]) -> list[Graph]:
 
 
 # -- text format --------------------------------------------------------
-
-
-def format_graph_text(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines += [f"e {i} {j}" for i, j in g.edge_list]
-    return "\n".join(lines) + "\n"
 
 
 def parse_graph_text(text: str) -> Graph:

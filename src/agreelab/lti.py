@@ -79,10 +79,6 @@ class RationalTF:
     def __neg__(self) -> "RationalTF":
         return self * -1.0
 
-    def approx_equal(self, other: "RationalTF", rtol: float = 1e-9) -> bool:
-        """Equality as rational functions: num1*den2 == num2*den1."""
-        return (self.num * other.den).approx_equal(other.num * self.den, rtol)
-
     def __repr__(self) -> str:
         return f"RationalTF({self.num.coeffs.tolist()}, {self.den.coeffs.tolist()})"
 
@@ -107,14 +103,13 @@ def tf_feedback(p: RationalTF, f: RationalTF) -> tuple[RationalTF, RationalTF]:
     return RationalTF(den_open, den_cl), RationalTF(p.num * f.den, den_cl)
 
 
-def tf_cancel(g: RationalTF) -> RationalTF:
-    """Remove numerator/denominator root pairs closer than CANCEL_TOL.
-
-    Pairs are matched greedily by absolute distance.  The result agrees
-    with g away from the cancelled dynamics.
-    """
+def _cancelled_roots(g: RationalTF) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros and poles of g left after numerator/denominator root
+    pairs closer than CANCEL_TOL are removed, each in poly_roots order;
+    none for the zero function.  Pairs are matched greedily by absolute
+    distance."""
     if g.num.is_zero:
-        return RationalTF(Polynomial([0.0]), Polynomial([1.0]))
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
     zeros = list(poly_roots(g.num)) if g.num.degree >= 1 else []
     poles = list(poly_roots(g.den)) if g.den.degree >= 1 else []
     changed = True
@@ -130,23 +125,23 @@ def tf_cancel(g: RationalTF) -> RationalTF:
             zeros.pop(best[1])
             poles.pop(best[2])
             changed = True
+    return np.array(zeros, dtype=complex), np.array(poles, dtype=complex)
+
+
+def tf_cancel(g: RationalTF) -> RationalTF:
+    """g with its cancelling root pairs removed (see CANCEL_TOL); the
+    result agrees with g away from the cancelled dynamics."""
+    zeros, poles = _cancelled_roots(g)
     num = Polynomial.from_roots(zeros, leading=g.num.leading)
-    den = Polynomial.from_roots(poles, leading=1.0)
-    return RationalTF(num, den)
+    return RationalTF(num, Polynomial.from_roots(poles))
 
 
 def tf_poles(g: RationalTF) -> np.ndarray:
-    gc = tf_cancel(g)
-    if gc.den.degree < 1:
-        return np.zeros(0, dtype=complex)
-    return poly_roots(gc.den)
+    return _cancelled_roots(g)[1]
 
 
 def tf_zeros(g: RationalTF) -> np.ndarray:
-    gc = tf_cancel(g)
-    if gc.num.is_zero or gc.num.degree < 1:
-        return np.zeros(0, dtype=complex)
-    return poly_roots(gc.num)
+    return _cancelled_roots(g)[0]
 
 
 @dataclass(frozen=True)

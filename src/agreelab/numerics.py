@@ -19,7 +19,6 @@ __all__ = [
     "poly_roots",
     "routh_hurwitz_stable",
     "lyapunov_solve",
-    "is_symmetric",
 ]
 
 # trailing coefficients below this relative size are treated as zero
@@ -93,21 +92,6 @@ class Polynomial:
     def scaled(self, c: float) -> "Polynomial":
         return Polynomial(self.coeffs * c)
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0.0])
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial(self.coeffs[1:] * k)
-
-    def approx_equal(self, other: "Polynomial", rtol: float = 1e-9) -> bool:
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n)
-        b = np.zeros(n)
-        a[: self.coeffs.size] = self.coeffs
-        b[: other.coeffs.size] = other.coeffs
-        scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-        return bool(np.max(np.abs(a - b)) <= rtol * scale)
-
     @staticmethod
     def from_roots(roots: Sequence[complex], leading: float = 1.0) -> "Polynomial":
         """Real polynomial with the given root multiset.
@@ -159,7 +143,7 @@ def poly_roots(p: Polynomial) -> np.ndarray:
         comp[:-1, 1:] = np.eye(n - 1)
     comp[-1, :] = -c[:n]
     roots = np.linalg.eigvals(comp)
-    dp = p.derivative()
+    dp = Polynomial(p.coeffs[1:] * np.arange(1, n + 1))
     for i, r in enumerate(roots):
         best, best_val = r, abs(p(r))
         z = r
@@ -217,19 +201,12 @@ def routh_hurwitz_stable(p: Polynomial) -> bool:
     return ok and all(v > 0.0 for v in first_col)
 
 
-def is_symmetric(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    return bool(np.max(np.abs(m - m.T), initial=0.0) <= tol * scale)
-
-
 def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve A X + X A' + Q = 0 for symmetric X.
 
-    A must be Hurwitz and Q symmetric.  Sizes here are small, so the
-    vectorized linear system (Kronecker form) is solved directly.
+    A must be Hurwitz and Q symmetric to within 1e-10 of max(1, max|Q|).
+    Sizes here are small, so the vectorized linear system (Kronecker
+    form) is solved directly.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -237,7 +214,8 @@ def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise ValueError("A must be square")
     if Q.shape != A.shape:
         raise ValueError("Q must match the shape of A")
-    if not is_symmetric(Q, tol=1e-10):
+    scale = max(1.0, float(np.max(np.abs(Q), initial=0.0)))
+    if not np.max(np.abs(Q - Q.T), initial=0.0) <= 1e-10 * scale:
         raise ValueError("Q must be symmetric")
     n = A.shape[0]
     if n == 0:

@@ -13,9 +13,11 @@ y_i = P_i (u_i + d_i) + (initial-condition response):
   where ConM_i is the neighbor average and Fa the shared network
   filter.
 
-Loops are assembled at the agent level; the modal closed form
-U^{-1} diag(T_i) U with T_i = 1/(1 - alpha_i Fa) is exposed through
-:func:`modal_analysis` for analysis and cross-checks.
+Loops are assembled at the agent level.  The modal closed form is
+U^{-1} diag(T_i) U with the modes T_i = 1/(1 - alpha_i Fa)
+(:func:`mode_transfer`); :func:`modal_analysis` returns the spectrum
+alpha_i and the agents' local loops S_i and Td_i, which
+:func:`check_agreement` and :func:`check_cancellation` test.
 
 The classic loop's steady-state disagreement variance has a closed form
 over the Laplacian spectrum (Bamieh, Jovanovic, Mitra and Patterson,
@@ -69,7 +71,7 @@ __all__ = [
 ]
 
 IMAG_AXIS_TOL = 1e-6
-_POLE_CLUSTER_TOL = 1e-6
+_REPEATED_POLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,16 +88,6 @@ class ClassicConfig:
 
     gains: float | Sequence[float]
     shared_filter: RationalTF = field(default_factory=lambda: RationalTF.constant(1.0))
-
-    def gain_vector(self, nu: int) -> np.ndarray:
-        k = np.asarray(self.gains, dtype=float).reshape(-1)
-        if k.size == 1:
-            k = np.full(nu, k[0])
-        if k.size != nu:
-            raise ValueError(f"need {nu} gains, got {k.size}")
-        if np.any(k <= 0):
-            raise ValueError("consensus gains must be positive")
-        return k
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,13 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     """
     adjn = _validate_network(g, agents)
     nu = g.n
-    k = cfg.gain_vector(nu)
+    k = np.asarray(cfg.gains, dtype=float).reshape(-1)
+    if k.size == 1:
+        k = np.full(nu, k[0])
+    if k.size != nu:
+        raise ValueError(f"need {nu} gains, got {k.size}")
+    if np.any(k <= 0):
+        raise ValueError("consensus gains must be positive")
     F = cfg.shared_filter
     if not F.is_proper:
         raise ValueError("shared filter must be proper")
@@ -281,24 +279,28 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu)
 
 
-def _local_loop(agent: AgentModel, index: int) -> tuple[RationalTF, RationalTF]:
-    fd = agent.local_controller
-    if fd is None:
-        raise ValueError(f"agent {index}: 2DOF protocol needs a local controller")
-    S, Td = tf_feedback(agent.plant, fd)
-    char_roots = poly_roots(S.den)
-    if np.max(char_roots.real) >= -HURWITZ_MARGIN:
-        raise ValueError(f"agent {index}: local controller does not stabilize the plant")
-    return S, Td
-
-
-def _feedforward(agent: AgentModel, fa: RationalTF, index: int) -> RationalTF:
-    kff = (tf_inverse(agent.plant) - agent.local_controller) * fa
-    if not kff.is_proper:
-        raise ValueError(
-            f"agent {index}: consistency condition unrealizable (improper feedforward)"
-        )
-    return kff
+def _agent_loops(agents: Sequence[AgentModel], fa: RationalTF) -> tuple[list, list]:
+    """Each agent's local loop (S_i, Td_i) and feedforward
+    (P_i^{-1} - Fd_i) Fa.  Every local loop is checked before any
+    feedforward, so the first error reported names the first agent
+    whose loop fails."""
+    loops = []
+    for i, a in enumerate(agents, start=1):
+        if a.local_controller is None:
+            raise ValueError(f"agent {i}: 2DOF protocol needs a local controller")
+        S, Td = tf_feedback(a.plant, a.local_controller)
+        if np.max(poly_roots(S.den).real) >= -HURWITZ_MARGIN:
+            raise ValueError(f"agent {i}: local controller does not stabilize the plant")
+        loops.append((S, Td))
+    feedforwards = []
+    for i, a in enumerate(agents, start=1):
+        kff = (tf_inverse(a.plant) - a.local_controller) * fa
+        if not kff.is_proper:
+            raise ValueError(
+                f"agent {i}: consistency condition unrealizable (improper feedforward)"
+            )
+        feedforwards.append(kff)
+    return loops, feedforwards
 
 
 def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> ClosedLoop:
@@ -307,13 +309,9 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
     (P_i^{-1} - Fd_i) Fa applied to the neighbor average and noise."""
     adjn = _validate_network(g, agents)
     nu = g.n
-    fa = cfg.network_filter
-    for i, a in enumerate(agents, start=1):
-        _local_loop(a, i)
+    _, feedforwards = _agent_loops(agents, cfg.network_filter)
     fd_bank = [tf_to_ss(a.local_controller) for a in agents]
-    kff_bank = [
-        tf_to_ss(_feedforward(a, fa, i)) for i, a in enumerate(agents, start=1)
-    ]
+    kff_bank = [tf_to_ss(kff) for kff in feedforwards]
     plants = [tf_to_ss(a.plant) for a in agents]
     eye = np.eye(nu)
     sys, x0_map = _assemble(
@@ -337,18 +335,6 @@ def mode_transfer(fa: RationalTF, alpha: float) -> RationalTF:
     return RationalTF(fa.den, den)
 
 
-def _cluster_poles(poles: np.ndarray, tol: float) -> list[tuple[complex, int]]:
-    clusters: list[list[complex]] = []
-    for p in poles:
-        for c in clusters:
-            if abs(p - c[0]) <= tol:
-                c.append(p)
-                break
-        else:
-            clusters.append([p])
-    return [(c[0], len(c)) for c in clusters]
-
-
 def check_agreement(fa: RationalTF, alphas: Sequence[float]) -> AgreementCertificate:
     """Agreement certificate for a network filter and a graph spectrum.
 
@@ -364,28 +350,22 @@ def check_agreement(fa: RationalTF, alphas: Sequence[float]) -> AgreementCertifi
     failures = []
     agreement_poles = np.zeros(0, dtype=complex)
     for i, alpha in enumerate(alphas):
+        agreement = i == ones[0]
+        mode = "agreement mode" if agreement else "mode"
         t = mode_transfer(fa, alpha)
-        if i in ones:
-            if not t.is_proper:
-                failures.append((float(alpha), "improper agreement mode"))
-                continue
-            poles = tf_poles(t)
-            if poles.size and np.max(poles.real) > HURWITZ_MARGIN:
-                failures.append((float(alpha), "unstable agreement mode"))
-                continue
-            axis = poles[np.abs(poles.real) <= HURWITZ_MARGIN] if poles.size else poles
-            clusters = _cluster_poles(axis, _POLE_CLUSTER_TOL)
-            if any(mult > 1 for _, mult in clusters):
+        if not t.is_proper:
+            failures.append((float(alpha), f"improper {mode}"))
+            continue
+        poles = tf_poles(t)
+        if np.any(poles.real > HURWITZ_MARGIN if agreement else poles.real >= -HURWITZ_MARGIN):
+            failures.append((float(alpha), f"unstable {mode}"))
+        elif agreement:
+            axis = poles[np.abs(poles.real) <= HURWITZ_MARGIN]
+            gaps = np.abs(axis[:, None] - axis[None, :])[np.triu_indices(axis.size, 1)]
+            if np.any(gaps <= _REPEATED_POLE_TOL):
                 failures.append((float(alpha), "repeated imaginary-axis agreement pole"))
-                continue
-            agreement_poles = np.array([p for p, _ in clusters], dtype=complex)
-        else:
-            if not t.is_proper:
-                failures.append((float(alpha), "improper mode"))
-                continue
-            poles = tf_poles(t)
-            if poles.size and np.max(poles.real) >= -HURWITZ_MARGIN:
-                failures.append((float(alpha), "unstable mode"))
+            else:
+                agreement_poles = axis
     return AgreementCertificate(
         passed=not failures,
         agreement_poles=agreement_poles,
@@ -397,15 +377,12 @@ def modal_analysis(
     g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig
 ) -> ModalAnalysis:
     _validate_network(g, agents)
-    fa = cfg.network_filter
     md = modal_transform(g)
-    locals_ = [_local_loop(a, i) for i, a in enumerate(agents, start=1)]
-    for i, a in enumerate(agents, start=1):
-        _feedforward(a, fa, i)
+    loops, _ = _agent_loops(agents, cfg.network_filter)
     return ModalAnalysis(
         alphas=md.alphas,
-        local_sensitivities=[s for s, _ in locals_],
-        disturbance_transfers=[td for _, td in locals_],
+        local_sensitivities=[s for s, _ in loops],
+        disturbance_transfers=[td for _, td in loops],
     )
 
 

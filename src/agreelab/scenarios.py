@@ -131,7 +131,7 @@ def run_scenario(
             metrics[f"twodof_{key}"] / metrics[f"classic_{key}"]
         )
         cfg = configs["classic"]
-        gain = float(np.asarray(cfg.classic.gains).reshape(-1)[0])
+        gain = float(np.asarray(cfg.protocol.gains).reshape(-1)[0])
         per_link = classic_noise_disagreement_variance(cfg.graph, gain, "per-link")
         per_agent = classic_noise_disagreement_variance(cfg.graph, gain, "per-agent")
         metrics["noise_model"] = "per-link"

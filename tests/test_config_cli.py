@@ -8,9 +8,10 @@ import pytest
 from agreelab import _kernels, sim
 from agreelab.cli import main
 from agreelab.config import ConfigError, ExperimentConfig
-from agreelab.graph import Graph, format_graph_text
+from agreelab.graph import Graph
 from agreelab.scenarios import load_scenario, run_config, run_scenario
 from agreelab.sim import SimulationDiverged, Trajectory, integrate, run_ensemble
+from helpers import format_graph_text
 from test_sim import reference_member
 
 DART_EDGES = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4]]
@@ -177,7 +178,7 @@ class TestConfigParsing:
         cfg = base_config("twodof")
         cfg["protocol"]["network_filter"] = {"num": [9.0], "den": [9.0, 57.0, 61.0, 5.0]}
         parsed = ExperimentConfig.from_dict(cfg)
-        assert parsed.twodof.network_filter(0.0) == pytest.approx(1.0)
+        assert parsed.protocol.network_filter(0.0) == pytest.approx(1.0)
 
 
 class TestSpectrumCommand:

@@ -12,7 +12,6 @@ from agreelab.graph import (
     adjacency,
     degrees,
     find_graphs_by_spectrum,
-    format_graph_text,
     is_connected,
     laplacian,
     modal_transform,
@@ -20,6 +19,7 @@ from agreelab.graph import (
     parse_graph_text,
     read_graph,
 )
+from helpers import format_graph_text
 
 DART = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)])
 DART_SPECTRUM = [
@@ -465,8 +465,9 @@ class TestSpectrumSearch:
 
 class TestGraphText:
     def test_format(self):
-        text = format_graph_text(Graph(3, [(2, 3), (1, 2)]))
-        assert text == "n 3\ne 1 2\ne 2 3\n"
+        text = "# comment\nn 3\n\ne 2 3\ne 1 2\n"
+        assert parse_graph_text(text) == Graph(3, [(1, 2), (2, 3)])
+        assert format_graph_text(Graph(3, [(2, 3), (1, 2)])) == "n 3\ne 1 2\ne 2 3\n"
 
     def test_roundtrip_bit_exact(self, tmp_path):
         path = tmp_path / "g.graph"

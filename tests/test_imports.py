@@ -1,5 +1,5 @@
 """Module boundaries: no agreelab module reaches into another's private names,
-and every name a module lists in __all__ exists."""
+and every name a module lists in __all__ exists and has a caller."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ from pathlib import Path
 import agreelab
 
 PACKAGE = Path(agreelab.__file__).parent
+ROOT = PACKAGE.parent.parent
 ALLOWED_PRIVATE_MODULES = {"_kernels"}
 
 
@@ -46,6 +47,48 @@ def test_every_public_name_resolves():
         if names := [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]:
             unresolved[path.name] = names
     assert unresolved == {}
+
+
+def referenced_names(tree: ast.AST, skip: str | None = None) -> set[str]:
+    """Names a module reads or imports, leaving out the body of the
+    definition named `skip` (an `__all__` entry is a string, not a name)."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    callers = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    callers += sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in callers}
+    uncalled = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("agreelab" if path.stem == "__init__" else f"agreelab.{path.stem}")
+        names = [
+            n for n in getattr(module, "__all__", [])
+            if not any(n in referenced_names(tree, n if other == path else None)
+                       for other, tree in trees.items())
+        ]
+        if names:
+            uncalled[path.name] = names
+    assert uncalled == {}
+
+
+def test_guard_sees_uncalled_names():
+    tree = ast.parse('__all__ = ["f", "g"]\ndef f():\n    return f()\ndef g():\n    return h()\n')
+    assert "f" not in referenced_names(tree, "f")  # calls from its own body do not count
+    assert "g" not in referenced_names(tree, "g")  # nor does its __all__ entry
+    assert "h" in referenced_names(tree, "h")
 
 
 def test_guard_sees_private_imports():

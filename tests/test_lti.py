@@ -14,7 +14,8 @@ from agreelab.lti import (
     tf_to_ss,
     tf_zeros,
 )
-from agreelab.numerics import Polynomial
+from agreelab.numerics import Polynomial, poly_roots
+from helpers import approx_equal
 
 
 def tf(num, den):
@@ -106,11 +107,11 @@ class TestInterconnection:
         g = INTEGRATOR * tf_inverse(INTEGRATOR)  # s/s
         assert g.num.degree == 1
         assert g.den.degree == 1
-        assert tf_cancel(g).approx_equal(RationalTF.constant(1.0))
+        assert approx_equal(tf_cancel(g), RationalTF.constant(1.0))
 
     def test_parallel_sum(self):
         g = tf([1.0], [1.0, 1.0]) + tf([1.0], [1.0, 1.0])
-        assert tf_cancel(g).approx_equal(tf([2.0], [1.0, 1.0]))
+        assert approx_equal(tf_cancel(g), tf([2.0], [1.0, 1.0]))
 
     def test_scale(self):
         g = INTEGRATOR * 3.0
@@ -129,22 +130,22 @@ class TestInterconnection:
 class TestFeedback:
     def test_zero_controller(self):
         S, Td = tf_feedback(INTEGRATOR, RationalTF.constant(0.0))
-        assert S.approx_equal(RationalTF.constant(1.0))
-        assert Td.approx_equal(INTEGRATOR)
+        assert approx_equal(S, RationalTF.constant(1.0))
+        assert approx_equal(Td, INTEGRATOR)
 
     def test_uniform_local_loop(self):
         # integrator with -(7.586 s + 16)/(s + 0.4143)
         S, Td = tf_feedback(INTEGRATOR, FD0)
-        assert S.num.approx_equal(Polynomial([0.0, 0.4143, 1.0]))
-        assert S.den.approx_equal(Polynomial([16.0, 8.0003, 1.0]))
-        assert Td.num.approx_equal(Polynomial([0.4143, 1.0]))
-        assert Td.den.approx_equal(Polynomial([16.0, 8.0003, 1.0]))
+        assert approx_equal(S.num, Polynomial([0.0, 0.4143, 1.0]))
+        assert approx_equal(S.den, Polynomial([16.0, 8.0003, 1.0]))
+        assert approx_equal(Td.num, Polynomial([0.4143, 1.0]))
+        assert approx_equal(Td.den, Polynomial([16.0, 8.0003, 1.0]))
         assert Td(0.0) == pytest.approx(0.4143 / 16.0)
 
     def test_pi_local_loop_zero_at_origin(self):
         S, Td = tf_feedback(INTEGRATOR, PI)
-        assert Td.num.approx_equal(Polynomial([0.0, 1.0]))
-        assert Td.den.approx_equal(Polynomial([8.777, 4.74, 1.0]))
+        assert approx_equal(Td.num, Polynomial([0.0, 1.0]))
+        assert approx_equal(Td.den, Polynomial([8.777, 4.74, 1.0]))
         assert Td(0.0) == 0.0
         zs = tf_zeros(Td)
         assert zs.size == 1 and abs(zs[0]) < 1e-12
@@ -159,7 +160,7 @@ class TestFeedback:
             except ZeroDivisionError:
                 continue
             one = (RationalTF.constant(1.0) - p * f) * S
-            assert one.num.approx_equal(one.den, rtol=1e-9)
+            assert approx_equal(one.num, one.den, rtol=1e-9)
 
     def test_algebraic_loop_rejected(self):
         with pytest.raises(ZeroDivisionError, match="algebraic loop"):
@@ -170,8 +171,8 @@ class TestInverseAndCancel:
     def test_inverse_swaps(self):
         g = tf([1.0, 1.0], [2.0, 1.0])
         gi = tf_inverse(g)
-        assert gi.num.approx_equal(Polynomial([2.0, 1.0]))
-        assert gi.den.approx_equal(Polynomial([1.0, 1.0]))
+        assert approx_equal(gi.num, Polynomial([2.0, 1.0]))
+        assert approx_equal(gi.den, Polynomial([1.0, 1.0]))
 
     def test_inverse_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -179,16 +180,16 @@ class TestInverseAndCancel:
 
     def test_inverse_times_self_cancels_to_one(self):
         g = tf_inverse(FA) * FA
-        assert tf_cancel(g).approx_equal(RationalTF.constant(1.0), rtol=1e-7)
+        assert approx_equal(tf_cancel(g), RationalTF.constant(1.0), rtol=1e-7)
 
     def test_cancel_examples(self):
-        assert tf_cancel(tf([0.0, 1.0], [0.0, 1.0])).approx_equal(RationalTF.constant(1.0))
+        assert approx_equal(tf_cancel(tf([0.0, 1.0], [0.0, 1.0])), RationalTF.constant(1.0))
         g = tf_cancel(tf([-1.0, 0.0, 1.0], [1.0, 1.0]))  # (s^2-1)/(s+1)
-        assert g.approx_equal(tf([-1.0, 1.0], [1.0]))
+        assert approx_equal(g, tf([-1.0, 1.0], [1.0]))
 
     def test_cancel_tolerance_semantics(self):
         g = tf([1.0 + 1e-12, 1.0], [1.0, 1.0])
-        assert tf_cancel(g).approx_equal(RationalTF.constant(1.0), rtol=1e-6)
+        assert approx_equal(tf_cancel(g), RationalTF.constant(1.0), rtol=1e-6)
 
     def test_cancel_preserves_value_at_test_points(self):
         rng = np.random.default_rng(13)
@@ -218,6 +219,44 @@ class TestPolesZeros:
         rest = sorted(p.real for p in poles if abs(p) >= 1e-9)
         expected = sorted(np.roots([5.0, 61.0, 57.0]).real)
         assert np.allclose(rest, expected, atol=1e-9)
+
+    def test_match_roots_of_cancelled_form(self):
+        # oracle: the roots of tf_cancel's rebuilt polynomials
+        rng = np.random.default_rng(2718)
+
+        def random_roots(count):
+            roots = []
+            while len(roots) < count:
+                re = rng.uniform(-4.0, 4.0)
+                if count - len(roots) >= 2 and rng.random() < 0.4:
+                    im = rng.uniform(0.2, 4.0)
+                    roots += [re + 1j * im, re - 1j * im]
+                else:
+                    roots.append(re)
+            return roots
+
+        def roots_or_none(p):
+            return poly_roots(p) if p.degree >= 1 else np.zeros(0, dtype=complex)
+
+        for case in range(600):
+            zeros = random_roots(int(rng.integers(0, 4)))
+            poles = random_roots(int(rng.integers(1, 5)))
+            if case % 2:  # a zero-pole pair that cancels (1e-9) or stays (1e-5)
+                r = rng.uniform(-4.0, 4.0)
+                zeros.append(r)
+                poles.append(r + (1e-9 if case % 4 == 1 else 1e-5))
+            g = RationalTF(
+                Polynomial.from_roots(zeros, leading=rng.uniform(0.5, 2.0)),
+                Polynomial.from_roots(poles, leading=rng.uniform(0.5, 2.0)),
+            )
+            gc = tf_cancel(g)
+            for got, want in ((tf_poles(g), roots_or_none(gc.den)), (tf_zeros(g), roots_or_none(gc.num))):
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_zero_transfer_has_no_poles_or_zeros(self):
+        g = tf([0.0], [1.0, 1.0])
+        assert tf_poles(g).size == 0 and tf_zeros(g).size == 0
 
     def test_hurwitz_margin(self):
         assert np.all(tf_poles(tf([1.0], [1.0, 1.0])).real < 0)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from agreelab.numerics import (
     Polynomial,
-    is_symmetric,
     lyapunov_solve,
     poly_roots,
     routh_hurwitz_stable,
 )
+from helpers import approx_equal
 
 
 def poly(*ascending):
@@ -87,7 +87,7 @@ class TestPolyMul:
     def test_matches_naive_convolution(self, a, b):
         got = Polynomial(a) * Polynomial(b)
         want = Polynomial(naive_convolve(a, b))
-        assert got.approx_equal(want, rtol=1e-12)
+        assert approx_equal(got, want, rtol=1e-12)
 
     def test_degree_law_nonzero(self):
         rng = np.random.default_rng(3)
@@ -238,8 +238,8 @@ class TestLyapunov:
         X = lyapunov_solve(A, B @ B.T)
         assert float((C @ X @ C.T)[0, 0]) == pytest.approx(27.0 / 2318.0, rel=1e-12)
 
-
-def test_is_symmetric_tolerance():
-    m = np.array([[1.0, 1e-14], [0.0, 1.0]])
-    assert is_symmetric(m)
-    assert not is_symmetric(np.array([[0.0, 1e-3], [0.0, 0.0]]))
+    def test_symmetry_tolerance(self):
+        X = lyapunov_solve(-np.eye(2), np.array([[1.0, 1e-14], [0.0, 1.0]]))
+        assert np.allclose(X, 0.5 * np.eye(2))
+        with pytest.raises(ValueError, match="Q must be symmetric"):
+            lyapunov_solve(-np.eye(2), np.array([[1.0, 1e-3], [0.0, 1.0]]))

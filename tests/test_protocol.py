@@ -17,6 +17,7 @@ from agreelab.protocol import (
     mode_transfer,
 )
 from agreelab.sim import SignalSpec, integrate
+from helpers import approx_equal
 
 INTEGRATOR = RationalTF([1.0], [0.0, 1.0])
 FD0 = RationalTF([-16.0, -7.586], [0.4143, 1.0])
@@ -123,6 +124,16 @@ class TestBuild2Dof:
         with pytest.raises(ValueError, match="stabilize"):
             build_2dof(DART, integrator_agents(5, bad), TwoDofConfig(FA))
 
+    def test_local_loops_are_checked_before_feedforwards(self):
+        # agent 1's feedforward s - Fd_1 is improper, agent 2's loop is
+        # unstable: the local-loop error is reported first
+        agents = [AgentModel(INTEGRATOR, FD0), AgentModel(INTEGRATOR, RationalTF.constant(1.0))]
+        g = Graph(2, [(1, 2)])
+        cfg = TwoDofConfig(RationalTF.constant(1.0))
+        for run in (build_2dof, modal_analysis):
+            with pytest.raises(ValueError, match="^agent 2: local controller does not stabilize the plant$"):
+                run(g, agents, cfg)
+
     def test_missing_controller_rejected(self):
         with pytest.raises(ValueError, match="local controller"):
             build_2dof(DART, integrator_agents(5), TwoDofConfig(FA))
@@ -184,17 +195,17 @@ class TestBuild2Dof:
 class TestModalAnalysis:
     def test_alpha_zero_mode_is_unity(self):
         t = mode_transfer(FA, 0.0)
-        assert t.approx_equal(RationalTF.constant(1.0))
+        assert approx_equal(t, RationalTF.constant(1.0))
 
     def test_agreement_mode_denominator(self):
         analysis = modal_analysis(DART, integrator_agents(5, FD0), TwoDofConfig(FA))
         t1 = mode_transfer(FA, analysis.alphas[0])
-        assert t1.den.approx_equal(Polynomial([0.0, 57.0 / 5, 61.0 / 5, 1.0]))
+        assert approx_equal(t1.den, Polynomial([0.0, 57.0 / 5, 61.0 / 5, 1.0]))
 
     def test_dart_negative_half_mode(self):
         t = mode_transfer(FA, -0.5)
-        assert t.num.approx_equal(Polynomial([9.0 / 5, 57.0 / 5, 61.0 / 5, 1.0]))
-        assert t.den.approx_equal(Polynomial([13.5 / 5, 57.0 / 5, 61.0 / 5, 1.0]))
+        assert approx_equal(t.num, Polynomial([9.0 / 5, 57.0 / 5, 61.0 / 5, 1.0]))
+        assert approx_equal(t.den, Polynomial([13.5 / 5, 57.0 / 5, 61.0 / 5, 1.0]))
         assert np.all(tf_poles(t).real < 0)
 
 
@@ -217,6 +228,23 @@ class TestCheckAgreement:
         cert = check_agreement(fa, [1.0, 0.2, -0.5])
         assert not cert.passed
         assert any(a == 1.0 for a, _ in cert.failures)
+
+    @pytest.mark.parametrize("fa, alphas, failures", [
+        (RationalTF([0.0, 1.0], [1.0, 1.0]), [1.0, -0.5], [(1.0, "improper agreement mode")]),
+        (RationalTF([1.0], [1.0, 0.0, 1.0]), [1.0, -0.5], [
+            (1.0, "repeated imaginary-axis agreement pole"),  # double pole at the origin
+            (-0.5, "unstable mode"),
+        ]),
+        (RationalTF([0.0, 2.0], [1.0, 1.0]), [1.0, 0.5], [
+            (1.0, "unstable agreement mode"),
+            (0.5, "improper mode"),
+        ]),
+    ])
+    def test_failure_reasons(self, fa, alphas, failures):
+        cert = check_agreement(fa, alphas)
+        assert not cert.passed
+        assert cert.failures == failures
+        assert cert.agreement_poles.size == 0
 
     def test_missing_agreement_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue 1"):
