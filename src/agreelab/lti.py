@@ -103,15 +103,26 @@ def tf_feedback(p: RationalTF, f: RationalTF) -> tuple[RationalTF, RationalTF]:
     return RationalTF(den_open, den_cl), RationalTF(p.num * f.den, den_cl)
 
 
+def _snapped_roots(p: Polynomial) -> list:
+    """poly_roots(p), each root within CANCEL_TOL of the real axis made
+    real: a double real root comes back as a pair +-1e-8j or so, and a
+    real root cancelling one of the pair would orphan the other."""
+    if p.degree < 1:
+        return []
+    roots = poly_roots(p).astype(complex)
+    roots.imag[np.abs(roots.imag) <= CANCEL_TOL] = 0.0
+    return list(roots)
+
+
 def _cancelled_roots(g: RationalTF) -> tuple[np.ndarray, np.ndarray]:
     """The zeros and poles of g left after numerator/denominator root
-    pairs closer than CANCEL_TOL are removed, each in poly_roots order;
-    none for the zero function.  Pairs are matched greedily by absolute
-    distance."""
+    pairs closer than CANCEL_TOL are removed, each in poly_roots order
+    and snapped to the real axis within CANCEL_TOL; none for the zero
+    function.  Pairs are matched greedily by absolute distance."""
     if g.num.is_zero:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    zeros = list(poly_roots(g.num)) if g.num.degree >= 1 else []
-    poles = list(poly_roots(g.den)) if g.den.degree >= 1 else []
+    zeros = _snapped_roots(g.num)
+    poles = _snapped_roots(g.den)
     changed = True
     while changed and zeros and poles:
         changed = False

@@ -288,6 +288,8 @@ def _agent_loops(agents: Sequence[AgentModel], fa: RationalTF) -> tuple[list, li
     for i, a in enumerate(agents, start=1):
         if a.local_controller is None:
             raise ValueError(f"agent {i}: 2DOF protocol needs a local controller")
+        if not a.local_controller.is_proper:
+            raise ValueError(f"agent {i}: local controller unrealizable (improper Fd)")
         S, Td = tf_feedback(a.plant, a.local_controller)
         if np.max(poly_roots(S.den).real) >= -HURWITZ_MARGIN:
             raise ValueError(f"agent {i}: local controller does not stabilize the plant")

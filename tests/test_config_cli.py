@@ -251,6 +251,19 @@ class TestCheckCommand:
         assert main(["check", path]) == 1
         assert "twodof" in capsys.readouterr().err
 
+    def test_improper_local_controller_rejected_by_check_and_simulate(self, tmp_path, capsys):
+        # agent 3's controller -(s^2 + s + 1)/(s + 1) cannot be realized:
+        # check must not certify a network that simulate cannot build
+        cfg = base_config("twodof")
+        improper = {**cfg["agents"], "controller": {"num": [-1.0, -1.0, -1.0], "den": [1.0, 1.0]}}
+        cfg["agents"] = [cfg["agents"]] * 2 + [improper] + [cfg["agents"]] * 2
+        path = write_config(tmp_path, cfg)
+        for argv in (["check", path], ["simulate", path, "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "agreement PASS" not in captured.out
+            assert "agent 3: local controller unrealizable (improper Fd)" in captured.err
+
 
 class TestSimulateCommand:
     def test_nominal_classic_metrics(self, tmp_path, capsys):

@@ -14,7 +14,9 @@ from agreelab.lti import (
     tf_to_ss,
     tf_zeros,
 )
-from agreelab.numerics import Polynomial, poly_roots
+from agreelab.design import FilterParams, make_filter
+from agreelab.numerics import Polynomial, lyapunov_solve, poly_roots
+from agreelab.protocol import mode_transfer
 from helpers import approx_equal
 
 
@@ -203,6 +205,50 @@ class TestInverseAndCancel:
         for w in rng.uniform(0.1, 10.0, 10):
             s = 1j * w
             assert abs(gc(s) - g(s)) <= 1e-6 * abs(g(s))
+
+
+class TestCancelMultipleRoots:
+    """poly_roots returns a double real root as a pair split by ~1e-8,
+    real or +-j; a triple one is known to ~eps^(1/3) only."""
+
+    SAMPLES = [0.7j, 2.0j, 0.1 + 5.0j]
+
+    @pytest.mark.parametrize("zeros, poles, left, rtol", [
+        ([-1.0, -3.0], [-1.0, -1.0, -2.0], (1, 2), 1e-7),  # double pole, one real zero on it
+        ([-1.0, -1.0], [-1.0, -1.0, -2.0], (0, 1), 1e-7),  # double pole, double zero
+        ([-1.0, -1.0], [-1.0, -2.0], (1, 1), 1e-7),  # double zero, one real pole on it
+        ([-2.5, -2.5, -0.5], [-0.5, -0.5, -4.0], (2, 2), 1e-7),  # a double root on each side
+        # a triple root's spread (~6e-6 here) exceeds CANCEL_TOL: nothing
+        # cancels, and the rebuilt polynomial carries the spread
+        ([-1.0], [-1.0, -1.0, -1.0, -3.0], (1, 4), 1e-5),
+        ([-1.0, -1.0, -1.0], [-1.0, -3.0], (3, 2), 1e-5),
+    ])
+    def test_real_zero_next_to_multiple_root(self, zeros, poles, left, rtol):
+        g = RationalTF(Polynomial.from_roots(zeros), Polynomial.from_roots(poles))
+        gc = tf_cancel(g)
+        assert (gc.num.degree, gc.den.degree) == left
+        for s in self.SAMPLES:
+            assert abs(gc(s) - g(s)) <= rtol * abs(g(s))
+
+    def test_dart_zero_mode_times_filter(self):
+        # 1/(1 - 0 Fa) Fa: the denominator holds each pole of Fa twice,
+        # the numerator once; poly_roots splits two of the double poles
+        # into +-7.6e-9j and +-4.9e-9j pairs
+        fa = make_filter(FilterParams(3.0, 5.0, 2.0))
+        g = mode_transfer(fa, 0.0) * fa
+        assert np.max(np.abs(poly_roots(g.den).imag)) > 1e-9  # the pairs from_roots rejects
+        gc = tf_cancel(g)
+        assert gc.den.degree == 3 and gc.num.degree == 0
+        assert np.all(tf_poles(g).imag == 0.0)
+        for s in self.SAMPLES:
+            assert abs(gc(s) - fa(s)) <= 1e-7 * abs(fa(s))
+
+    def test_dart_zero_mode_h2_against_lyapunov(self):
+        fa = make_filter(FilterParams(3.0, 5.0, 2.0))
+        ss = tf_to_ss(fa)
+        want = float(np.trace(ss.C @ lyapunov_solve(ss.A, ss.B @ ss.B.T) @ ss.C.T))
+        # the surviving copy of a double pole is known to ~1e-8 only
+        assert h2_norm_sq(mode_transfer(fa, 0.0) * fa) == pytest.approx(want, rel=1e-7)
 
 
 class TestPolesZeros:

@@ -16,9 +16,11 @@ from agreelab.protocol import (
     build_2dof,
     build_classic,
 )
+from agreelab.scenarios import load_scenario
 from agreelab.sim import (
     _CHUNK,
     _CSV_ROWS,
+    _JUMP,
     DIVERGENCE_LIMIT,
     SignalSpec,
     SimulationDiverged,
@@ -32,6 +34,7 @@ from agreelab.sim import (
 )
 
 ZERO = SignalSpec.zero()
+JUMP_RTOL = 1e-11  # integrate against the stepping oracle, of the largest output
 DART = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)])
 INTEGRATOR = RationalTF([1.0], [0.0, 1.0])
 
@@ -289,11 +292,13 @@ class TestBatchedEngine:
         assert len(stats.paths) == realizations
         for got, want in zip(stats.paths, paths):
             assert np.array_equal(got.outputs, want)
-        # the twin: the same run with every measurement channel at zero
+        # the twin: the same run with every measurement channel at zero;
+        # integrate jumps instead of stepping, so it agrees to rounding
         zero = [ZERO] * nu
+        twin = reference_member(loop, d, zero, y0, self.DT, T, None, 0)
+        assert stats.reference == float(np.mean(twin[-1]))
         path = integrate(loop, d, zero, y0, self.DT, T)
-        assert np.array_equal(path.outputs, reference_member(loop, d, zero, y0, self.DT, T, None, 0))
-        assert stats.reference == float(np.mean(path.outputs[-1]))
+        assert np.max(np.abs(path.outputs - twin)) <= JUMP_RTOL * np.max(np.abs(twin))
 
     @pytest.mark.parametrize("keep", [0, 4])
     def test_keep_out_of_range_rejected(self, keep):
@@ -327,6 +332,55 @@ class TestBatchedEngine:
             with pytest.raises(SimulationDiverged) as err:
                 run_ensemble(loop, ZERO, n, [0.0], 1e-3, 10.0, seed=4, realizations=6, projection=[1.0])
         assert err.value.time == min(times)
+
+
+class TestJumpPath:
+    """integrate jumps _JUMP nodes at a time; the stepping oracle agrees
+    to rounding for every sub-block and block boundary case."""
+
+    LOOPS = {"1": scalar_loop(-0.5), "5": consensus_loop(), "30": twodof_loop(), "feedthrough": feedthrough_loop()}
+    DT = 1e-2
+    ONSETS = {  # node of the step on disturbance channel 0, from nsteps
+        "node-0": lambda nsteps: 0,
+        "inside": lambda nsteps: nsteps // 2 | 1,
+        "boundary": lambda nsteps: _JUMP * max(1, nsteps // (2 * _JUMP)),
+        "last-node": lambda nsteps: nsteps,
+        "past-horizon": lambda nsteps: nsteps + 40,
+    }
+
+    @pytest.mark.parametrize("onset", list(ONSETS))
+    @pytest.mark.parametrize("nsteps", [_JUMP - 1, _JUMP, _JUMP + 1, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("loop_name", list(LOOPS))
+    def test_matches_stepping_oracle(self, loop_name, nsteps, onset):
+        loop = self.LOOPS[loop_name]
+        nu, dt = loop.nagents, self.DT
+        d = [SignalSpec.step(0.7, onset=self.ONSETS[onset](nsteps) * dt)] + [ZERO] * (nu - 1)
+        n = [SignalSpec.step(-0.4, onset=(_JUMP + 1) * dt)] * nu
+        y0 = np.linspace(1.0, -0.5, nu)
+        T = nsteps * dt
+        got = integrate(loop, d, n, y0, dt, T).outputs
+        want = reference_member(loop, d, n, y0, dt, T, None, 0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= JUMP_RTOL * np.max(np.abs(want))
+
+    def test_dist_agreement_mode_exact(self):
+        # the classic dist loop's agreement mode integrates the mean
+        # disturbance exactly: mean(y0) + 1 (60 - 5) / 5 at T = 60 s
+        cfg = load_scenario("dist")["classic"]
+        traj = integrate(cfg.build_loop(), cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon)
+        want = np.mean(cfg.y0) + 1.0 * (60.0 - 5.0) / 5
+        assert abs(np.mean(traj.outputs[-1]) - want) <= 3e-13 * abs(want)
+
+    @pytest.mark.parametrize("x0", [0.3, 1e8, 2e9, np.nan])
+    def test_divergence_time_matches_stepping(self, x0):
+        # the sub-blocks that cannot be bounded below the limit are stepped
+        loop = scalar_loop(5.0)
+        d = SignalSpec.step(1e3, onset=0.0131)
+        with pytest.raises(SimulationDiverged) as want:
+            reference_member(loop, d, ZERO, [x0], 1e-3, 10.0, None, 0)
+        with pytest.raises(SimulationDiverged) as got:
+            integrate(loop, d, ZERO, [x0], 1e-3, 10.0)
+        assert got.value.time == want.value.time
 
 
 class TestBlockInputs:
@@ -401,6 +455,18 @@ class TestMemory:
         traj, peak = self.traced_peak(lambda T: integrate(loop, d, ZERO, np.linspace(1, -1, 5), 1e-3, T))
         assert traj.outputs.shape == (60_001, 5)
         assert peak < traj.outputs.nbytes + traj.times.nbytes + self.SLACK
+
+    def test_integrate_peak_360_states(self):
+        # a 60-agent 2DOF loop: the jump tables hold O(_JUMP x states^2)
+        ring = [(i, i % 60 + 1) for i in range(1, 61)] + [(i, i + 7) for i in range(1, 54, 4)]
+        fd = RationalTF([-16.0, -7.586], [0.4143, 1.0])
+        loop = build_2dof(Graph(60, ring), [AgentModel(INTEGRATOR, fd)] * 60,
+                          TwoDofConfig(make_filter(FilterParams(3.0, 5.0, 2.0))))
+        assert loop.dynamics.A.shape[0] == 360
+        d = [SignalSpec.step(0.5, onset=10.0)] + [ZERO] * 59
+        traj, peak = self.traced_peak(lambda T: integrate(loop, d, ZERO, np.linspace(1, -1, 60), 1e-3, T))
+        assert traj.outputs.shape == (60_001, 60)
+        assert peak < traj.outputs.nbytes + traj.times.nbytes + 5 * 2**20
 
     def test_run_ensemble_peak(self):
         loop = twodof_loop()
