@@ -1,17 +1,16 @@
-"""Hot time-stepping kernel.
+"""Time-stepping kernel.
 
 The integrators reduce an LTI step to an affine state update
-``x_{k+1} = phi x_k + g_k``.  ``sim`` steps every member of an ensemble
-together, one block of grid steps at a time: the caller fills the drive
-``g_k`` (input and noise terms) of every member into the block, and the
+``x_{k+1} = phi x_k + g_k``.  ``sim._Jumps`` jumps over most steps of
+every run, noise-free or noisy, and calls this kernel only for what it
+cannot jump: the forced response of each input level, the sub-blocks an
+onset splits, the horizon's last partial one and, per path, the
+sub-blocks near the divergence limit.  The caller fills the drive
+``g_k`` (input and noise terms) of every path stepped together, and the
 kernel adds ``phi x_k`` in place with one stacked ``matmul`` per step,
-a matrix-vector product per member, so a member's path has the same
-bits whichever members it is stepped with.  The divergence test runs
-once per block.  A noise-free run jumps over most of its steps instead
-(``sim._Jumps``) and calls the kernel only for its forced responses and
-for the sub-blocks it cannot jump: those an onset splits, the horizon's
-last partial one and those near the divergence limit.  Plain numpy;
-``sim`` looks the kernel up here at call time.
+a matrix-vector product per path, so a path has the same bits whichever
+paths it is stepped with.  The divergence test runs once per call.
+Plain numpy; ``sim`` looks the kernel up here at call time.
 """
 
 from __future__ import annotations

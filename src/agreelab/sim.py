@@ -13,31 +13,30 @@ White noise enters Euler-Maruyama style: an increment of standard
 deviation sigma*sqrt(dt) per channel per step, gated by the onset time,
 on top of the fourth-order deterministic update.
 
-Two routines make every path.  A noise-free run, `integrate`, jumps
-(`_Jumps`): under an input held constant the RK4 map is linear, so
-from the state at the start of each sub-block of L = _JUMP nodes one
+One engine makes every path (`_Jumps`): a noise-free run, `integrate`,
+is a batch of one path, and a noisy run, `run_ensemble`, a batch of its
+R members and its noise-free twin, the same run with every measurement
+channel at zero.  Under an input held constant the RK4 map is affine,
+so from the state at the start of each sub-block of L = _JUMP nodes one
 matrix product gives the outputs of all its nodes, and one increment
 x <- x + ((Phi^L - I) x + F_L) the start of the next (scaling and
-squaring, Moler and Van Loan, SIAM Review 2003, applied to the
-discrete map).  The sub-blocks an onset splits, the horizon's last
-partial one and any whose states cannot be bounded below
-DIVERGENCE_LIMIT are stepped.  The discrete system is the stepped one;
-only the order of the floating-point operations differs, so
-`integrate` agrees with stepping to rounding (within 1e-11 of the
-largest output in the tests), not bit for bit.
+squaring, Moler and Van Loan, SIAM Review 2003, applied to the discrete
+map).  The noise enters linearly: a member's draws over a sub-block add
+two more products, with the Markov parameters C Phi^k bn for its
+outputs and with the Phi^k bn for its next start.  The sub-blocks an
+onset splits, the horizon's last partial one and, per path, any whose
+states cannot be bounded below DIVERGENCE_LIMIT are stepped.  The
+discrete system is the stepped one; only the order of the floating-point
+operations differs, so a path agrees with stepping to rounding (within
+1e-11 of the largest output in the tests), not bit for bit.  Every
+product runs per path, so a path has the same bits whatever the other
+members of its batch, as far as BLAS gives a product of one shape the
+same bits.
 
-A noisy run is one `run_ensemble` call, stepped by `_Prepared.blocks`
-one block of grid nodes at a time: its R members and its noise-free
-twin, the same run with every measurement channel at zero, as one batch
-of R + 1 paths.  A path has the same bits as when it is stepped alone
-over the whole horizon, whatever the other members, as far as BLAS
-gives each row of a product the same bits at any row count.
-
-A run's memory is its outputs plus O(_CHUNK x members x states), and
-the jump tables' O(_JUMP x states^2): no input table spans the
-horizon.  Each channel's step input is kept as an onset node and an
-amplitude, and `_Prepared.inputs` builds the drive and feedthrough of
-one block's nodes at a time.
+A run's memory is its outputs plus O(_CHUNK x paths x states), and
+the jump tables' O(_JUMP x states^2 + _JUMP^2 x noise channels x
+outputs): no input table spans the horizon.  Each channel's step input
+is kept as an onset node and an amplitude.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ DRIFT_MIN_REALIZATIONS = 30  # an ensemble's drift slope needs this many members
 # ensemble statistics run once per block, not once per step.
 _CHUNK = 256
 
-# Grid nodes per jump of a noise-free run (a power of two): each state
-# a jump makes is x_{k+8} = x_k + ((Phi^8 - I) x_k + F_8).
+# Grid nodes per jump (a power of two): each state a jump makes is
+# x_{k+8} = x_k + ((Phi^8 - I) x_k + F_8) plus the injected noise.
 _JUMP = 8
 
 # Trajectory CSV rows formatted per write: bounded, so the text of a long
@@ -213,16 +212,14 @@ def _onset_index(onset: float, dt: float, nsteps: int) -> int:
 
 
 class _Prepared:
-    """Integration tables shared by the members of a run.
+    """Integration tables shared by the paths of a run.
 
     Nothing here grows with the step count but `times`: each channel's
-    step input is kept as its onset node and amplitude, and `blocks`
-    builds one block's inputs from them at a time.  A run's memory is
-    its outputs plus O(_CHUNK x members x states).
+    step input is kept as its onset node and amplitude.
     """
 
     __slots__ = (
-        "phi", "gb", "x0", "C", "Dmat", "onset", "amp", "bn", "noise_scale",
+        "phi", "gb", "x0", "C", "Dmat", "onset", "amp", "starts", "bn", "noise_scale",
         "noise_gate", "dt", "nsteps", "times",
     )
 
@@ -257,6 +254,9 @@ class _Prepared:
         # channel's increments are gated by its onset node the same way
         self.onset = np.array([_onset_index(s.onset, dt, nsteps) for s in specs], dtype=np.int64)
         self.amp = np.array([s.amplitude if s.kind == "step" else 0.0 for s in specs])
+        # the nodes from which the inputs hold a level: 0 and the onsets
+        # of the channels that are not noise (np.unique would import numpy.ma)
+        self.starts = np.array(sorted({0, *self.onset[~white].tolist()}))
         self.bn = sys.B[:, white]
         self.noise_scale = np.array([np.sqrt(s.intensity * dt) for s in specs if s.is_stochastic])
         self.noise_gate = self.onset[white]
@@ -267,78 +267,6 @@ class _Prepared:
     @property
     def n_noise(self) -> int:
         return self.bn.shape[1]
-
-    def inputs(self, k0: int, amp: np.ndarray, last=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, drive, feed) of nodes k0 - 1 ... k0 + _CHUNK under the step
-        levels `amp`, row j for node k0 - 1 + j: the input, the input term
-        of the step that leaves the node, and the input's direct
-        feedthrough at it.  The products have the same shape in every
-        block, so a node's row has the same bits in whichever block it
-        falls, and `last`, an earlier block's result, is returned as it is
-        when its inputs are this block's: most blocks hold no onset."""
-        u = np.where(np.arange(k0 - 1, k0 + _CHUNK + 1)[:, None] >= self.onset, amp, 0.0)
-        if last is not None and np.array_equal(u, last[0]):
-            return last
-        return u, u @ self.gb.T, u @ self.Dmat.T
-
-    def blocks(self, seed: int | None, members: Sequence[int | None]) -> Iterator[tuple[int, np.ndarray]]:
-        """Outputs of ensemble members `members` of master seed `seed`,
-        _CHUNK grid nodes at a time.  A member None is the noise-free
-        twin: the same run with every measurement channel at zero, steps
-        as well as noise.  Twins must come before the other members.
-
-        Yields (k0, y) with y[j, i] the outputs of member members[i] at
-        node k0 + j; y is overwritten by the next block.  Raises
-        SimulationDiverged at the first node at which a state magnitude
-        of any member reaches DIVERGENCE_LIMIT.
-        """
-        n, R, nn = self.phi.shape[0], len(members), self.n_noise
-        realizations = [r for r in members if r is not None]
-        lo = R - len(realizations)  # rows :lo are twins
-        rngs = []
-        if nn > 0:
-            rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in realizations]
-        levels = [(slice(0, R), self.amp)]  # (member rows, their step levels)
-        nu = self.C.shape[0]  # the measurement channels follow the nu disturbance channels
-        if lo and self.amp[nu:].any():
-            twin = self.amp.copy()
-            twin[nu:] = 0.0
-            levels = [(slice(0, lo), twin), (slice(lo, R), self.amp)]
-        last = [None] * len(levels)  # each level's inputs in the block before
-        # Products run over whole buffers, so every BLAS call has the same
-        # shape whatever the block.  Row 0 of x is the node before the
-        # block.  The last block takes up to _CHUNK + 1 nodes: numpy routes
-        # a one-row product to another BLAS routine, whose bits can differ.
-        x = np.zeros((_CHUNK + 2, R, n))
-        w = np.zeros((len(rngs), _CHUNK + 1, nn))
-        x[1] = self.x0
-        npts = self.nsteps + 1
-        k0 = 0
-        while k0 < npts:
-            rows = npts - k0 if npts - k0 <= _CHUNK + 1 else _CHUNK
-            first = max(k0, 1)  # first node stepped in this block
-            s, m = first - k0 + 1, k0 + rows - first  # its buffer row, the step count
-            feeds = []
-            for i, (members_of, amp) in enumerate(levels):
-                last[i] = _, drive, feed = self.inputs(k0, amp, last[i])
-                x[s:rows + 1, members_of] = drive[s - 1:rows, None, :]
-                feeds.append((members_of, feed[1:rows + 1, None, :]))
-            if rngs:
-                for wr, rng in zip(w, rngs):
-                    rng.standard_normal(out=wr[:m])
-                w[:, :m] *= self.noise_scale
-                for c, k_on in enumerate(self.noise_gate):
-                    w[:, :min(max(k_on - first + 1, 0), m), c] = 0.0
-                x[s:rows + 1, lo:] += w[:, :m].transpose(1, 0, 2) @ self.bn.T
-            blow = _kernels.affine_path(self.phi, x[s - 1:rows + 1], DIVERGENCE_LIMIT)
-            if blow >= 0:
-                raise SimulationDiverged((first - 1 + blow) * self.dt)
-            y = (x[1:].reshape(-1, n) @ self.C.T).reshape(_CHUNK + 1, R, -1)[:rows]
-            for members_of, feed in feeds:
-                y[:, members_of] += feed
-            yield k0, y
-            x[0] = x[rows]
-            k0 += rows
 
 
 def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
@@ -355,40 +283,68 @@ def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
 
 
 class _Jumps:
-    """The jump path of a noise-free run.
+    """The simulation engine: a batch of paths, _JUMP nodes at a time.
 
-    Sub-block i is the _JUMP nodes from node s = i * _JUMP on.  Under an
-    input u held over the sub-block, node s + j has the state Phi^j x_s +
-    F_j and the output C x_s + O_j x_s + c_j, with O_j = C (Phi^j - I),
-    F_j the forced response from x = 0 and c_j = C F_j + D u; the next
-    sub-block starts from x_s + (Delta_L x_s + F_L), Delta_L = Phi^L - I,
-    L = _JUMP.  The tables are O(_JUMP x states^2).  Stepped by
-    `_kernels.affine_path` instead: the sub-blocks an onset splits, the
-    horizon's last partial one, and any whose bound on its states,
-    |x_s| max(1, |Phi|)^L + max_j |F_j| (infinity norms), is not below
+    Sub-block i is the L = _JUMP nodes from node s = i * L on.  Under an
+    input u held over it, node s + j of a path has the output
+
+        y_{s+j} = C x_s + O_j x_s + c_j + sum_{i<j} C Phi^(j-1-i) bn w_{s+i}
+
+    with O_j = C (Phi^j - I), F_j the forced response from x = 0,
+    c_j = C F_j + D u and w_k the noise of the step that leaves node k,
+    and the next sub-block starts from
+
+        x_{s+L} = x_s + (Delta_L x_s + F_L) + sum_i Phi^(L-1-i) bn w_{s+i},
+
+    Delta_L = Phi^L - I.  The noise sums of a path's sub-blocks are two
+    products of its draws, with `markov`, the block-Toeplitz table of the
+    C Phi^k bn, and with `inject`, the table of the Phi^k bn.  The tables
+    hold O(L x states^2 + L^2 x noise channels x outputs) numbers, a run
+    O(_CHUNK x paths x states) more.  Every product runs per path, so a
+    path has the same bits whatever the other paths of its batch.
+
+    Stepped by `_kernels.affine_path` instead: the sub-blocks an onset
+    splits, the horizon's last partial one, and a path from the first
+    sub-block of a run on which its bound on the states,
+    g |x_s| + max_j |F_j| + g sum_i sum_c |bn_c| |w_{s+i,c}| (infinity
+    norms, g = max(1, |Phi|)^L, bn_c column c of bn), is not below
     DIVERGENCE_LIMIT, so a divergence is reported at the node stepping
     finds.
     """
 
     def __init__(self, prep: _Prepared, A: np.ndarray):
         self.prep = prep
-        C = prep.C
+        C, bn, L = prep.C, prep.bn, _JUMP
         delta = _rk4_increment(A, prep.dt)
         # O_{j+1} = O_j + (C + O_j) Delta; row block 0 holds C itself
-        stack = np.empty((_JUMP, *C.shape))
+        stack = np.empty((L, *C.shape))
         stack[0] = C
         stack[1] = C @ delta
-        for j in range(1, _JUMP - 1):
+        for j in range(1, L - 1):
             stack[j + 1] = stack[j] + (C + stack[j]) @ delta
         self.stack = stack.reshape(-1, C.shape[1]).T
-        for _ in range(_JUMP.bit_length() - 1):  # (Phi^m)^2 - I = 2 Delta_m + Delta_m^2
+        for _ in range(L.bit_length() - 1):  # (Phi^m)^2 - I = 2 Delta_m + Delta_m^2
             delta = delta @ delta + 2.0 * delta
         self.delta = delta
         # |x_s| growth + max_j |F_j| bounds the states of the L steps after x_s
-        self.growth = max(1.0, float(np.abs(prep.phi).sum(axis=1).max())) ** _JUMP
-        # one input level per stretch between onsets, from stretch start node
-        self.starts = np.array(sorted({0, *prep.onset.tolist()}))
-        self.levels = [self._level(np.where(s >= prep.onset, prep.amp, 0.0)) for s in self.starts]
+        self.growth = max(1.0, float(np.abs(prep.phi).sum(axis=1).max())) ** L
+        # row block i of inject is (Phi^(L-1-i) bn)'; block (i, j) of
+        # markov is (C Phi^(j-1-i) bn)' for i < j and zero otherwise
+        (n, nn), nu = bn.shape, C.shape[0]
+        powers = np.empty((L, n, nn))
+        powers[0] = bn
+        for k in range(1, L):
+            powers[k] = prep.phi @ powers[k - 1]
+        self.inject = powers[::-1].transpose(0, 2, 1).reshape(L * nn, n)
+        outputs = np.matmul(C, powers)
+        markov = np.zeros((L, nn, L, nu))
+        for j in range(1, L):
+            for i in range(j):
+                markov[i, :, j] = outputs[j - 1 - i].T
+        self.markov = markov.reshape(L * nn, L * nu)
+        # |Phi^k bn w| <= growth sum_c |bn_c| |w_c|: a sub-block's noise
+        # bound is its draws' magnitudes times this row
+        self.noise_bound = np.tile(self.growth * np.abs(bn).max(axis=0, initial=0.0), L)
 
     def _level(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(F_L, c, max_j |F_j|) of the input level u."""
@@ -400,64 +356,134 @@ class _Jumps:
         c = forced[:_JUMP] @ p.C.T + p.Dmat @ u
         return forced[_JUMP], c, float(np.abs(forced).max())
 
-    def run(self, y: np.ndarray) -> None:
-        """Outputs of every node into y; raises SimulationDiverged at the
-        first node at which a state magnitude reaches DIVERGENCE_LIMIT."""
-        p, L, last = self.prep, _JUMP, self.prep.nsteps
-        nu = y.shape[1]
-        x = np.empty((_CHUNK // L + 1, p.phi.shape[0]))  # sub-block starts
-        x[0] = p.x0
-        s = 0
-        while s <= last:
-            v = int(np.searchsorted(self.starts, s, side="right")) - 1
-            end = self.starts[v + 1] if v + 1 < self.starts.size else last + 1
-            r = min((end - s) // L, _CHUNK // L)  # whole sub-blocks under level v
-            if r:
-                f_jump, c, fmax = self.levels[v]
-                with np.errstate(all="ignore"):
-                    for i in range(r):
-                        np.matmul(self.delta, x[i], out=x[i + 1])
-                        x[i + 1] += f_jump
-                        x[i + 1] += x[i]
-                    ok = np.abs(x[:r]).max(axis=1) * self.growth + fmax < DIVERGENCE_LIMIT
-                r = int(np.argmin(np.append(ok, False)))  # certified sub-blocks
-            if r:
-                z = y[s:s + r * L].reshape(r, L, nu)
-                np.matmul(x[:r], self.stack, out=z.reshape(r, L * nu))
-                z[:, 1:] += z[:, :1]
-                z += c
-                x[0] = x[r]
-                s += r * L
-            else:
-                x[0] = self._step(s, x[0], y)
-                s += L
+    def run(self, seed: int | None, members: Sequence[int | None]) -> Iterator[tuple[int, np.ndarray]]:
+        """Outputs of the paths `members` of master seed `seed`, up to
+        _CHUNK nodes at a time.  A member None is the noise-free twin: the
+        same run with every measurement channel at zero, steps as well as
+        noise; twins come first.  Without noise channels a member is the
+        run's one noise-free path.
 
-    def _step(self, s: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Steps the sub-block at node s from its state x into y; returns
-        the state of the node after it (or of the last node)."""
+        Yields (s, y) with y[i, j] the outputs of path members[i] at node
+        s + j.  Raises SimulationDiverged at the first node at which a
+        state magnitude of any path reaches DIVERGENCE_LIMIT.
+        """
+        members = list(members)
+        p, L, P, nn = self.prep, _JUMP, len(members), self.prep.n_noise
+        lo = members.count(None)  # paths :lo are twins
+        rngs = []
+        if nn:
+            rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in members[lo:]]
+        twin = p.amp.copy()
+        twin[p.C.shape[0]:] = 0.0  # the measurement channels follow the nu disturbance channels
+        # (paths, step levels, the jump terms of each stretch between onsets)
+        groups = [
+            (g, amp, [self._level(np.where(k >= p.onset, amp, 0.0)) for k in p.starts])
+            for g, amp in ((slice(0, lo), twin), (slice(lo, P), p.amp)) if g.start < g.stop
+        ]
+        x = np.empty((_CHUNK // L + 1, P, p.phi.shape[0]))  # sub-block starts
+        x[0] = p.x0
+        # x[i] as rows and as the (P, n, 1) stacks of the per-path products
+        views = list(x), list(x[..., None])
+        w = np.zeros((P, _CHUNK * nn))  # a path's draws, node after node; the twins' stay zero
+        scale = np.tile(p.noise_scale, _CHUNK)
+        s, last = 0, p.nsteps
+        while s <= last:
+            v = int(np.searchsorted(p.starts, s, side="right")) - 1
+            end = p.starts[v + 1] if v + 1 < p.starts.size else last + 1
+            r = min((end - s) // L, _CHUNK // L)  # whole sub-blocks under level v
+            m = r * L if r else min(L, last - s)  # steps, leaving nodes s .. s + m - 1
+            for wr, rng in zip(w[lo:], rngs):
+                rng.standard_normal(out=wr[:m * nn])
+            w[lo:, :m * nn] *= scale[:m * nn]
+            noise = w[:, :m * nn].reshape(P, m, nn)
+            for c, k_on in enumerate(p.noise_gate):
+                noise[:, :min(max(k_on - s, 0), m), c] = 0.0
+            if r:
+                y = self._jump(s, r, v, x, views, noise, groups)
+            else:
+                r = 1
+                y, x[0] = self._step(s, m, min(L, last + 1 - s), np.arange(P), x[0], noise, groups)
+            yield s, y
+            s += r * L
+
+    def _jump(self, s, r, v, x, views, w, groups) -> np.ndarray:
+        """Outputs of every path over the r sub-blocks from node s, all
+        under the input level of stretch v, from the states x[0] and the
+        draws w; leaves the states of node s + r L in x[0].  A path is
+        stepped from the first sub-block whose bound fails on."""
+        p, L = self.prep, _JUMP
+        P, nu = x.shape[1], p.C.shape[0]
+        drive = np.empty((r, *x.shape[1:]))
+        bound = np.empty((P, r))  # a sub-block's bound on its states, less g |x_s|
+        for g, _, levels in groups:
+            drive[:, g] = levels[v][0]
+            bound[g] = levels[v][2]
+        with np.errstate(all="ignore"):
+            if p.n_noise:
+                wb = w.reshape(P, r, -1)  # row i: a path's draws of sub-block i
+                drive += (wb @ self.inject).transpose(1, 0, 2)
+            rows, stacks = views
+            for i in range(r):
+                np.matmul(self.delta, stacks[i], out=stacks[i + 1])
+                rows[i + 1] += drive[i]
+                rows[i + 1] += rows[i]
+            y = np.matmul(x[:r].transpose(1, 0, 2), self.stack).reshape(P, r, L, nu)
+            y[:, :, 1:] += y[:, :, :1]
+            for g, _, levels in groups:
+                y[g] += levels[v][1]
+            if p.n_noise:
+                y += (wb @ self.markov).reshape(P, r, L, nu)
+                bound += np.abs(wb) @ self.noise_bound
+            ok = np.abs(x[:r]).max(axis=2).T * self.growth + bound < DIVERGENCE_LIMIT  # (path, sub-block)
+        y = y.reshape(P, r * L, nu)
+        if not ok.all():
+            times = []  # of the paths that diverge; the earliest is reported
+            cut = np.where(ok.all(axis=1), r, np.argmin(ok, axis=1))  # a path's first failed sub-block
+            for i in sorted(set(cut[cut < r].tolist())):
+                paths, m = np.flatnonzero(cut == i), (r - i) * L
+                try:
+                    y[paths, i * L:], x[r, paths] = self._step(
+                        s + i * L, m, m, paths, x[i, paths], w[:, i * L:], groups)
+                except SimulationDiverged as err:
+                    times.append(err.time)
+            if times:
+                raise SimulationDiverged(min(times))
+        x[0] = x[r]
+        return y
+
+    def _step(self, s, m, rows, paths, x, w, groups):
+        """Steps the paths `paths` m steps from their states x at node s;
+        returns their outputs at nodes s .. s + rows - 1 and their states
+        at node s + m.  w[paths, :m] are the draws of the steps.  Raises
+        SimulationDiverged at the first node at which a state magnitude
+        reaches DIVERGENCE_LIMIT."""
         p = self.prep
-        e = min(s + _JUMP, p.nsteps)  # last node stepped to
-        u = np.where(np.arange(s, e + 1)[:, None] >= p.onset, p.amp, 0.0)
-        path = np.empty((e - s + 1, 1, x.size))
-        path[0, 0] = x
-        path[1:, 0] = u[:-1] @ p.gb.T
+        path = np.empty((m + 1, paths.size, x.shape[1]))
+        path[0] = x
+        feed = np.empty((paths.size, rows, p.C.shape[0]))
+        for g, amp, _ in groups:
+            sel = (paths >= g.start) & (paths < g.stop)
+            u = np.where(np.arange(s, s + m + 1)[:, None] >= p.onset, amp, 0.0)
+            path[1:, sel] = (u[:-1] @ p.gb.T)[:, None]
+            feed[sel] = u[:rows] @ p.Dmat.T
+        if p.n_noise:
+            path[1:] += (w[paths, :m] @ p.bn.T).transpose(1, 0, 2)
         blow = _kernels.affine_path(p.phi, path, DIVERGENCE_LIMIT)
         if blow >= 0:
             raise SimulationDiverged((s + blow) * p.dt)
-        rows = min(s + _JUMP, p.nsteps + 1) - s
-        y[s:s + rows] = path[:rows, 0] @ p.C.T + u[:rows] @ p.Dmat.T
-        return path[-1, 0]
+        return path[:rows].transpose(1, 0, 2) @ p.C.T + feed, path[-1]
 
 
 def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
-    """Deterministic RK4 run by the jump path; white-noise specs are
-    rejected.  The tables are built before the outputs are allocated."""
+    """Deterministic RK4 run, one noise-free path of the engine;
+    white-noise specs are rejected."""
     prep = _Prepared(loop, d, n, y0, dt, T)
     if prep.n_noise > 0:
         raise ValueError("integrate handles deterministic signals only")
     jumps = _Jumps(prep, loop.dynamics.A)
     y = np.empty((prep.nsteps + 1, loop.nagents))
-    jumps.run(y)
+    for s, block in jumps.run(None, [0]):
+        y[s:s + block.shape[1]] = block[0]
     return Trajectory(times=prep.times, outputs=y)
 
 
@@ -503,8 +529,8 @@ def run_ensemble(
 
     Member r is driven by the stream member_seed(seed, r), so the
     statistics do not depend on evaluation order.  The twin, the same run
-    with every measurement channel at zero, is stepped with the members.
-    Each block of grid nodes gives the two-pass mean and variance over the
+    with every measurement channel at zero, runs in one batch with the
+    members.  Each block of grid nodes gives the two-pass mean and variance over the
     members of each node; only the whole paths of members 0..keep-1 are
     kept.  A divergence is reported at the earliest grid time at which
     any path, the twin's or a member's, crosses the limit.
@@ -521,12 +547,14 @@ def run_ensemble(
     mean = np.empty(npts)
     variance = np.empty(npts)
     kept = np.empty((keep, npts, loop.nagents))
-    for k0, y in prep.blocks(seed, [None, *range(realizations)]):
-        nodes = slice(k0, k0 + y.shape[0])
-        kept[:, nodes] = y[:, 1:keep + 1].transpose(1, 0, 2)
-        # a reduction over the agent axis, not a product: BLAS may give a
-        # product other bits at another member count
-        z = (y[:, 1:] * projection).sum(axis=2)
+    jumps = _Jumps(prep, loop.dynamics.A)
+    for s, y in jumps.run(seed, [None, *range(realizations)]):
+        nodes = slice(s, s + y.shape[1])
+        kept[:, nodes] = y[1:keep + 1]
+        # z[k, r]: member r's projection at node k, summed by einsum's own
+        # loop, not BLAS, whose bits can depend on the row count; each
+        # node's members are then reduced alike whatever the node count
+        z = np.einsum("rkj,j->kr", y[1:], projection, order="C")
         mean[nodes] = z.mean(axis=1)
         # the divisor of one member is 1, not 0: its variance is zero
         variance[nodes] = np.square(z - mean[nodes, None]).sum(axis=1) / max(realizations - 1, 1)
@@ -535,8 +563,8 @@ def run_ensemble(
         count=realizations,
         mean=mean,
         variance=variance,
-        finals=y[-1, 1:].copy(),
-        reference=float(np.mean(y[-1, 0])),
+        finals=y[1:, -1].copy(),
+        reference=float(np.mean(y[0, -1])),
         paths=[Trajectory(times=prep.times, outputs=path) for path in kept],
     )
 

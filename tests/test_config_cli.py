@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from agreelab import _kernels, sim
+from agreelab import sim
 from agreelab.cli import main
 from agreelab.config import ConfigError, ExperimentConfig
 from agreelab.graph import Graph
 from agreelab.scenarios import load_scenario, run_config, run_scenario
 from agreelab.sim import SimulationDiverged, Trajectory, integrate, run_ensemble
 from helpers import format_graph_text
-from test_sim import reference_member
+from test_sim import JUMP_RTOL, reference_member
 
 DART_EDGES = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4]]
 
@@ -90,21 +90,22 @@ def oracle_divergence_time(cfg_json: str, member: int | None) -> float:
 
 def count_paths(monkeypatch) -> dict:
     """From now on: the realizations whose noise streams are opened
-    ("streams", in call order) and the member-steps the stepping kernel
-    takes ("member_steps": steps times the members stepped together)."""
+    ("streams", in call order) and the member-steps the engine takes
+    ("member_steps": the grid nodes after node 0 of every path it runs)."""
     counts = {"streams": [], "member_steps": 0}
-    seed_of, kernel = sim.member_seed, _kernels.affine_path
+    seed_of, run = sim.member_seed, sim._Jumps.run
 
     def counted_seed(master_seed, realization):
         counts["streams"].append(realization)
         return seed_of(master_seed, realization)
 
-    def counted_kernel(phi, out, limit):
-        counts["member_steps"] += (out.shape[0] - 1) * out.shape[1]
-        return kernel(phi, out, limit)
+    def counted_run(self, seed, members):
+        for s, y in run(self, seed, members):
+            counts["member_steps"] += y.shape[0] * (y.shape[1] - (s == 0))
+            yield s, y
 
     monkeypatch.setattr(sim, "member_seed", counted_seed)
-    monkeypatch.setattr(_kernels, "affine_path", counted_kernel)
+    monkeypatch.setattr(sim._Jumps, "run", counted_run)
     return counts
 
 
@@ -347,7 +348,10 @@ class TestSimulateCommand:
         )
         member = member_paths(c, c.seed, 1)[0]
         metrics = json.loads((out_dir / "metrics.json").read_text())
-        assert metrics["disagreement_norm_at_2"] == float(np.linalg.norm(member[-1] - np.mean(twin[-1])))
+        # the engine's twin agrees with the stepped one to rounding
+        want = float(np.linalg.norm(member[-1] - np.mean(twin[-1])))
+        assert metrics["disagreement_norm_at_2"] == pytest.approx(
+            want, rel=0.0, abs=3 * JUMP_RTOL * np.max(np.abs(twin)))
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = base_config("classic")

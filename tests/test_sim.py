@@ -25,6 +25,7 @@ from agreelab.sim import (
     SignalSpec,
     SimulationDiverged,
     Trajectory,
+    _Jumps,
     _Prepared,
     integrate,
     member_seed,
@@ -34,7 +35,7 @@ from agreelab.sim import (
 )
 
 ZERO = SignalSpec.zero()
-JUMP_RTOL = 1e-11  # integrate against the stepping oracle, of the largest output
+JUMP_RTOL = 1e-11  # the engine against the stepping oracle, of the largest output
 DART = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)])
 INTEGRATOR = RationalTF([1.0], [0.0, 1.0])
 
@@ -57,14 +58,17 @@ def twodof_loop():
     return build_2dof(DART, agents, TwoDofConfig(make_filter(FilterParams(3.0, 5.0, 2.0))))
 
 
-def feedthrough_loop():
+def feedthrough_loop(noisy=False):
     """Random stable 7-state loop of 3 agents whose every input channel
-    feeds through to the outputs."""
+    feeds through to the outputs; with noisy=True the measurement
+    channels do not, so that they can carry white noise."""
     rng = np.random.default_rng(23)
     A = rng.normal(size=(7, 7))
     A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(7)
-    sys = StateSpace(A, rng.normal(size=(7, 6)), rng.normal(size=(3, 7)), rng.normal(size=(3, 6)))
-    return ClosedLoop(sys, x0_map=rng.normal(size=(7, 3)), nagents=3)
+    B, C, D = rng.normal(size=(7, 6)), rng.normal(size=(3, 7)), rng.normal(size=(3, 6))
+    if noisy:
+        D[:, 3:] = 0.0
+    return ClosedLoop(StateSpace(A, B, C, D), x0_map=rng.normal(size=(7, 3)), nagents=3)
 
 
 def step_table(loop, d, n, dt, T):
@@ -109,11 +113,11 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization):
 
 def stepped(loop, d, n, y0, dt, T, seed, members):
     """Outputs (node, member, agent) of `members` of master seed `seed`
-    stepped together by the engine; a member None is the noise-free twin."""
+    run together by the engine; a member None is the noise-free twin."""
     p = _Prepared(loop, d, n, y0, dt, T)
     y = np.empty((p.nsteps + 1, len(members), loop.nagents))
-    for k0, block in p.blocks(seed, members):
-        y[k0:k0 + block.shape[0]] = block
+    for s, block in _Jumps(p, loop.dynamics.A).run(seed, members):
+        y[s:s + block.shape[1]] = block.transpose(1, 0, 2)
     return y
 
 
@@ -253,17 +257,18 @@ class TestStochasticIntegration:
 
 
 class TestBatchedEngine:
-    """Members stepped together against members stepped one at a time:
-    the same bits for every block-boundary case."""
+    """Members run together against members run one at a time by the
+    engine (the same bits) and against the stepping oracle (the same
+    values to rounding), for every block and sub-block boundary case."""
 
     LOOPS = {1: scalar_loop(-0.5), 5: consensus_loop(), 30: twodof_loop()}
     DT = 1e-2
 
-    def signals(self, nagents, onset_node):
+    def signals(self, nagents, onset_node, step_node=150):
         # steps and white noise mixed; noise channel 0 starts at onset_node,
         # the others inside the first block; with more than one agent the
         # last measurement channel is a step, which the twin turns off too
-        d = [SignalSpec.step(0.7, onset=150 * self.DT)] + [ZERO] * (nagents - 1)
+        d = [SignalSpec.step(0.7, onset=step_node * self.DT)] + [ZERO] * (nagents - 1)
         n = [SignalSpec.white_noise(0.3, onset=onset_node * self.DT)]
         n += [SignalSpec.white_noise(0.2, onset=37 * self.DT)] * (nagents - 2)
         n += [SignalSpec.step(-0.4, onset=90 * self.DT)] * (nagents > 1)
@@ -285,20 +290,64 @@ class TestBatchedEngine:
             loop, d, n, y0, self.DT, T, seed=5, realizations=realizations,
             projection=projection, keep=realizations,
         )
-        mean, variance, finals, paths = reference_ensemble(loop, d, n, y0, self.DT, T, 5, realizations, projection)
+        paths = [stepped(loop, d, n, y0, self.DT, T, 5, [r])[:, 0] for r in range(realizations)]
+        # the engine's statistics: a sum of products over the agents, then
+        # the two-pass mean and variance over the members, per node
+        z = np.stack([np.einsum("kj,j->k", y, projection) for y in paths], axis=1)
+        mean = z.mean(axis=1)
         assert np.array_equal(stats.mean, mean)
-        assert np.array_equal(stats.variance, variance)
-        assert np.array_equal(stats.finals, finals)
+        assert np.array_equal(stats.variance, np.square(z - mean[:, None]).sum(axis=1) / max(realizations - 1, 1))
+        assert np.array_equal(stats.finals, [y[-1] for y in paths])
         assert len(stats.paths) == realizations
         for got, want in zip(stats.paths, paths):
             assert np.array_equal(got.outputs, want)
-        # the twin: the same run with every measurement channel at zero;
-        # integrate jumps instead of stepping, so it agrees to rounding
-        zero = [ZERO] * nu
-        twin = reference_member(loop, d, zero, y0, self.DT, T, None, 0)
+        twin = stepped(loop, d, n, y0, self.DT, T, 5, [None])[:, 0]
         assert stats.reference == float(np.mean(twin[-1]))
-        path = integrate(loop, d, zero, y0, self.DT, T)
-        assert np.max(np.abs(path.outputs - twin)) <= JUMP_RTOL * np.max(np.abs(twin))
+        self.assert_near_oracle(stats, loop, d, n, y0, T, realizations, projection)
+
+    def assert_near_oracle(self, stats, loop, d, n, y0, T, realizations, projection):
+        """Paths, finals and twin within JUMP_RTOL of the stepping oracle's
+        largest output; the mean and variance within what that implies."""
+        mean, variance, finals, paths = reference_ensemble(loop, d, n, y0, self.DT, T, 5, realizations, projection)
+        tol = JUMP_RTOL * max(np.max(np.abs(y)) for y in paths)
+        for got, want in zip(stats.paths, paths):
+            assert np.max(np.abs(got.outputs - want)) <= tol
+        assert np.max(np.abs(stats.finals - finals)) <= tol
+        # a member's projection, and so the mean, moves by at most
+        # ztol = |projection|_1 tol; a deviation from the mean by 2 ztol,
+        # and the variance by R/(R-1) 4 ztol (largest deviation + ztol)
+        ztol = np.abs(projection).sum() * tol
+        assert np.max(np.abs(stats.mean - mean)) <= ztol
+        z = np.stack([(y * projection).sum(axis=1) for y in paths])
+        spread = np.max(np.abs(z - mean))
+        vtol = realizations / max(realizations - 1, 1) * 4.0 * ztol * (spread + ztol)
+        assert np.max(np.abs(stats.variance - variance)) <= vtol
+        twin = reference_member(loop, d, [ZERO] * loop.nagents, y0, self.DT, T, None, 0)
+        assert abs(stats.reference - float(np.mean(twin[-1]))) <= JUMP_RTOL * np.max(np.abs(twin))
+
+    ORACLE_LOOPS = {
+        "1": scalar_loop(-0.5), "5": consensus_loop(), "30": twodof_loop(), "feedthrough": feedthrough_loop(noisy=True),
+    }
+    ORACLE_NSTEPS = 3 * _CHUNK + 5
+
+    @pytest.mark.parametrize("realizations", [1, 3, 30])
+    @pytest.mark.parametrize("step_node", [0, 1, 7, 8, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1, ORACLE_NSTEPS])
+    @pytest.mark.parametrize("loop_name", list(ORACLE_LOOPS))
+    def test_ensemble_matches_stepping_oracle(self, loop_name, step_node, realizations):
+        # a disturbance step at step_node, noise onsets inside a sub-block
+        # (node 37, 37 = 4 x 8 + 5) and, with more than one agent,
+        # measurement channels that carry a step as well as noise
+        loop = self.ORACLE_LOOPS[loop_name]
+        nu = loop.nagents
+        d, n = self.signals(nu, 37, step_node)
+        y0 = np.linspace(1.0, -0.5, nu)
+        projection = np.linspace(1.0, -2.0, nu) / nu
+        T = self.ORACLE_NSTEPS * self.DT
+        stats = run_ensemble(
+            loop, d, n, y0, self.DT, T, seed=5, realizations=realizations,
+            projection=projection, keep=realizations,
+        )
+        self.assert_near_oracle(stats, loop, d, n, y0, T, realizations, projection)
 
     @pytest.mark.parametrize("keep", [0, 4])
     def test_keep_out_of_range_rejected(self, keep):
@@ -332,6 +381,32 @@ class TestBatchedEngine:
             with pytest.raises(SimulationDiverged) as err:
                 run_ensemble(loop, ZERO, n, [0.0], 1e-3, 10.0, seed=4, realizations=6, projection=[1.0])
         assert err.value.time == min(times)
+
+    def test_noise_divergence_inside_a_jumped_sub_block(self):
+        # an integrator (Phi = 1, growth 1, |bn| 1) driven by noise alone:
+        # member 2's draws take it past the limit at node 20, inside the
+        # sub-block of nodes 16-23, which starts below the limit and which
+        # the bounds of members 0 and 1 let them jump
+        loop, dt, sigma, seed = scalar_loop(0.0), 1e-2, 1e8, 7
+        n = SignalSpec.white_noise(sigma**2 / dt)
+        times, paths = [], []
+        for r in range(3):
+            try:
+                reference_member(loop, ZERO, n, [0.0], dt, 2.0, seed, r)
+                times.append(np.inf)
+            except SimulationDiverged as err:
+                times.append(err.time)
+            paths.append(reference_member(loop, ZERO, n, [0.0], dt, 16 * dt, seed, r)[:, 0])
+        assert np.argmin(times) == 2 and round(times[2] / dt) == 20 and min(times[:2]) > times[2]
+        assert abs(paths[2][16]) < DIVERGENCE_LIMIT
+        for r in range(2):
+            draws = np.random.Generator(np.random.Philox(member_seed(seed, r))).standard_normal(24)
+            assert abs(paths[r][16]) + np.abs(draws[16:24]).sum() * sigma < DIVERGENCE_LIMIT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDiverged) as err:
+                run_ensemble(loop, ZERO, n, [0.0], dt, 2.0, seed=seed, realizations=3, projection=[1.0])
+        assert err.value.time == times[2]
 
 
 class TestJumpPath:
@@ -384,8 +459,8 @@ class TestJumpPath:
 
 
 class TestBlockInputs:
-    """Each block's drive and feedthrough against the dense step table,
-    at every node; onsets at the horizon's edges and on block boundaries."""
+    """Step inputs on both banks: onsets at the horizon's edges and on
+    block boundaries, and the twin that turns the measurement steps off."""
 
     DT = 1e-2
     NSTEPS = 3 * _CHUNK + 5
@@ -399,51 +474,43 @@ class TestBlockInputs:
              SignalSpec.step(2.0, (self.NSTEPS + 40) * dt)]
         return d, n
 
-    @pytest.mark.parametrize("onset_node", [0, _CHUNK, _CHUNK + 1, NSTEPS, NSTEPS + 40])
-    def test_inputs_match_dense_table_at_every_node(self, onset_node):
-        loop = feedthrough_loop()
-        d, n = self.signals(onset_node)
-        T = self.NSTEPS * self.DT
-        p = _Prepared(loop, d, n, np.ones(3), self.DT, T)
-        u = step_table(loop, d, n, self.DT, T)
-        drive, feed = u[:-1] @ p.gb.T, u @ p.Dmat.T
-        assert np.all(feed[-1] != feed[0])  # the steps switch on in the horizon
-        seen = np.zeros(self.NSTEPS + 1, dtype=bool)
-        last = None  # reused by the next block when its inputs are the same
-        for k0 in range(0, self.NSTEPS + 1, _CHUNK):
-            last = _, got_drive, got_feed = p.inputs(k0, p.amp, last)
-            nodes = np.arange(max(k0 - 1, 0), min(k0 + _CHUNK, self.NSTEPS) + 1)  # row j: node k0 - 1 + j
-            assert np.array_equal(got_feed[nodes - k0 + 1], feed[nodes])
-            left = nodes[nodes < self.NSTEPS]  # nodes a step leaves
-            assert np.array_equal(got_drive[left - k0 + 1], drive[left])
-            seen[nodes] = True
-        assert seen.all()
-
     @pytest.mark.parametrize("onset_node", [0, _CHUNK + 1, NSTEPS])
     def test_twin_turns_measurement_steps_off(self, onset_node):
         loop = feedthrough_loop()
         d, n = self.signals(onset_node)
         y0, T = np.array([1.0, -0.5, 0.25]), self.NSTEPS * self.DT
         twin, member = stepped(loop, d, n, y0, self.DT, T, None, [None, 0]).transpose(1, 0, 2)
-        assert np.array_equal(twin, reference_member(loop, d, [ZERO] * 3, y0, self.DT, T, None, 0))
-        assert np.array_equal(member, reference_member(loop, d, n, y0, self.DT, T, None, 0))
+        for got, want in ((twin, reference_member(loop, d, [ZERO] * 3, y0, self.DT, T, None, 0)),
+                          (member, reference_member(loop, d, n, y0, self.DT, T, None, 0))):
+            assert np.max(np.abs(got - want)) <= JUMP_RTOL * np.max(np.abs(want))
         assert not np.array_equal(twin[-1], member[-1])
 
 
 class TestMemory:
-    """A run holds its outputs and O(_CHUNK x members x states) more,
-    however long the horizon: the 30-state 2DOF loop over 60,000 steps."""
+    """A run holds its outputs and O(_CHUNK x paths x states + _JUMP x
+    states^2) more, however long the horizon: the 30-state 2DOF loop over
+    60,000 steps and a 360-state one."""
 
     SLACK = 2 * 2**20  # bytes
 
-    def traced_peak(self, run):
+    def traced_peak(self, run, T=60.0):
         run(0.1)  # first-call imports are not the run's memory
         tracemalloc.start()
         try:
-            result = run(60.0)
+            result = run(T)
             return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @staticmethod
+    def ring_loop():
+        """A 60-agent 2DOF loop of 360 states."""
+        ring = [(i, i % 60 + 1) for i in range(1, 61)] + [(i, i + 7) for i in range(1, 54, 4)]
+        fd = RationalTF([-16.0, -7.586], [0.4143, 1.0])
+        loop = build_2dof(Graph(60, ring), [AgentModel(INTEGRATOR, fd)] * 60,
+                          TwoDofConfig(make_filter(FilterParams(3.0, 5.0, 2.0))))
+        assert loop.dynamics.A.shape[0] == 360
+        return loop
 
     def signals(self):
         d = [SignalSpec.step(0.5, onset=10.0)] + [ZERO] * 4
@@ -457,12 +524,8 @@ class TestMemory:
         assert peak < traj.outputs.nbytes + traj.times.nbytes + self.SLACK
 
     def test_integrate_peak_360_states(self):
-        # a 60-agent 2DOF loop: the jump tables hold O(_JUMP x states^2)
-        ring = [(i, i % 60 + 1) for i in range(1, 61)] + [(i, i + 7) for i in range(1, 54, 4)]
-        fd = RationalTF([-16.0, -7.586], [0.4143, 1.0])
-        loop = build_2dof(Graph(60, ring), [AgentModel(INTEGRATOR, fd)] * 60,
-                          TwoDofConfig(make_filter(FilterParams(3.0, 5.0, 2.0))))
-        assert loop.dynamics.A.shape[0] == 360
+        # the jump tables hold O(_JUMP x states^2)
+        loop = self.ring_loop()
         d = [SignalSpec.step(0.5, onset=10.0)] + [ZERO] * 59
         traj, peak = self.traced_peak(lambda T: integrate(loop, d, ZERO, np.linspace(1, -1, 60), 1e-3, T))
         assert traj.outputs.shape == (60_001, 60)
@@ -477,6 +540,20 @@ class TestMemory:
         ))
         kept = stats.times.nbytes + stats.mean.nbytes + stats.variance.nbytes + stats.paths[0].outputs.nbytes
         assert peak < kept + self.SLACK
+
+
+    def test_run_ensemble_peak_360_states(self):
+        # 31 members and the twin: one block of the batch holds
+        # _CHUNK x 32 x 360 numbers, the tables O(_JUMP x 360^2)
+        loop = self.ring_loop()
+        d = [SignalSpec.step(0.5, onset=10.0)] + [ZERO] * 59
+        n = [SignalSpec.white_noise(0.01, onset=1.0)] * 60
+        stats, peak = self.traced_peak(lambda T: run_ensemble(
+            loop, d, n, np.linspace(1, -1, 60), 1e-3, T, seed=3, realizations=31,
+            projection=np.full(60, 1 / 60), keep=1,
+        ), T=2.0)
+        kept = stats.times.nbytes + stats.mean.nbytes + stats.variance.nbytes + stats.paths[0].outputs.nbytes
+        assert peak < kept + 8 * (_CHUNK * 32 * 360 + _JUMP * 360**2) + self.SLACK
 
 
 class TestMetrics:
