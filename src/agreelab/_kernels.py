@@ -2,10 +2,11 @@
 
 The integrators reduce an LTI step to an affine state update
 ``x_{k+1} = phi x_k + g_k``.  ``sim._Jumps`` jumps over most steps of
-every run, noise-free or noisy, and calls this kernel only for what it
-cannot jump: the forced response of each input level, the sub-blocks an
-onset splits, the horizon's last partial one and, per path, the
-sub-blocks near the divergence limit.  The caller fills the drive
+every noisy run and of every noise-free one that is not integrated
+mode by mode, and calls this kernel only for what it cannot jump: the
+forced response of each input level, the sub-blocks an onset splits,
+the horizon's last partial one and, per path, the sub-blocks near the
+divergence limit.  The caller fills the drive
 ``g_k`` (input and noise terms) of every path stepped together, and the
 kernel adds ``phi x_k`` in place with one stacked ``matmul`` per step,
 a matrix-vector product per path, so a path has the same bits whichever

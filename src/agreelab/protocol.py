@@ -17,7 +17,10 @@ Loops are assembled at the agent level.  The modal closed form is
 U^{-1} diag(T_i) U with the modes T_i = 1/(1 - alpha_i Fa)
 (:func:`mode_transfer`); :func:`modal_analysis` returns the spectrum
 alpha_i and the agents' local loops S_i and Td_i, which
-:func:`check_agreement` and :func:`check_cancellation` test.
+:func:`check_agreement` and :func:`check_cancellation` test.  The loop
+of a uniform network carries the same split of its states as a
+:class:`ModalFactor` (per-mode decoupling, Fax and Murray, IEEE TAC
+2004), which the simulator integrates mode by mode.
 
 The classic loop's steady-state disagreement variance has a closed form
 over the Laplacian spectrum (Bamieh, Jovanovic, Mitra and Patterson,
@@ -58,6 +61,7 @@ __all__ = [
     "ClassicConfig",
     "TwoDofConfig",
     "ClosedLoop",
+    "ModalFactor",
     "ModalAnalysis",
     "AgreementCertificate",
     "CancellationVerdict",
@@ -98,18 +102,37 @@ class TwoDofConfig:
 
 
 @dataclass(frozen=True)
+class ModalFactor:
+    """Exact modal split of a uniform network's loop.
+
+    The loop's states form groups, the plants' and then each controller
+    bank's with states, of b_g states per agent, agent after agent.
+    Under x_g = (M_g kron I_{b_g}) z_g, z_g mode after mode, the state
+    matrix becomes block diagonal: mode k couples only the b = sum b_g
+    states z_g[k] of the groups.  The outputs mix as the plant states:
+    C x = M_0 w with w_k = c_k z_k, a row c_k of b entries per mode.
+    """
+
+    transforms: tuple  # M_g, agent space, one per state group
+    inverses: tuple  # M_g^{-1}
+    sizes: tuple  # b_g
+
+
+@dataclass(frozen=True)
 class ClosedLoop:
     """Simulable aggregate loop.
 
     Inputs are stacked [d (nu); n (nu)], outputs are the agent outputs
     y (nu).  ``x0_map`` injects per-agent initial output levels into the
     plant states (controller states start at zero), so y(0) = y0 for
-    strictly proper plants.
+    strictly proper plants.  ``modal`` is the loop's modal split when
+    the network is uniform, None otherwise.
     """
 
     dynamics: StateSpace
     x0_map: np.ndarray
     nagents: int
+    modal: ModalFactor | None = None
 
     def __post_init__(self):
         x0 = np.asarray(self.x0_map, dtype=float)
@@ -240,6 +263,26 @@ def _assemble(
     return sys, x0_map
 
 
+def _modal_factor(pairs, systems) -> ModalFactor:
+    """The factor of a loop whose state group g, the states of every
+    agent's copy of systems[g], is split by pairs[g] = (M_g, M_g^{-1});
+    groups without states drop out."""
+    groups = [(M, Minv, sys.nstates) for (M, Minv), sys in zip(pairs, systems) if sys.nstates]
+    return ModalFactor(*zip(*groups))
+
+
+def _same(tfs: Sequence[RationalTF]) -> bool:
+    return all(
+        np.array_equal(t.num.coeffs, tfs[0].num.coeffs) and np.array_equal(t.den.coeffs, tfs[0].den.coeffs)
+        for t in tfs[1:]
+    )
+
+
+def _laplacian_modes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of L."""
+    return np.linalg.eigh(laplacian(g))
+
+
 def _validate_network(g: Graph, agents: Sequence[AgentModel]) -> np.ndarray:
     if not is_connected(g):
         raise ValueError("protocol requires a connected graph")
@@ -257,6 +300,8 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     The controller path realizes u = K D F ((Adjn - I) y + n) with the
     per-agent aggregated noise n_i on the noise channels; for
     integrator plants and F = 1 this is ydot = -K L y + K D n + d.
+    With one gain and one plant the loop splits over L = V Lambda V':
+    the plant states by V, the filter states by D^{-1} V.
     """
     adjn = _validate_network(g, agents)
     nu = g.n
@@ -276,7 +321,11 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     My = adjn - np.eye(nu)
     Mn = np.eye(nu)
     sys, x0_map = _assemble(plants, [(bank, My, Mn)])
-    return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu)
+    modal = None
+    if np.all(k == k[0]) and _same([a.plant for a in agents]):
+        v = _laplacian_modes(g)[1]
+        modal = _modal_factor([(v, v.T), (v / deg[:, None], v.T * deg)], [plants[0], bank[0]])
+    return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)
 
 
 def _agent_loops(agents: Sequence[AgentModel], fa: RationalTF) -> tuple[list, list]:
@@ -308,7 +357,9 @@ def _agent_loops(agents: Sequence[AgentModel], fa: RationalTF) -> tuple[list, li
 def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> ClosedLoop:
     """Closed loop of the 2DOF protocol, assembled at the agent level:
     a decentralized feedback path Fd_i y_i plus a distributed path
-    (P_i^{-1} - Fd_i) Fa applied to the neighbor average and noise."""
+    (P_i^{-1} - Fd_i) Fa applied to the neighbor average and noise.
+    With one plant and one controller every state group splits by U^{-1}
+    of `modal_transform`."""
     adjn = _validate_network(g, agents)
     nu = g.n
     _, feedforwards = _agent_loops(agents, cfg.network_filter)
@@ -323,7 +374,11 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
             (kff_bank, adjn, eye),
         ],
     )
-    return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu)
+    modal = None
+    if _same([a.plant for a in agents]) and _same([a.local_controller for a in agents]):
+        md = modal_transform(g)
+        modal = _modal_factor([(md.Uinv, md.U)] * 3, [plants[0], fd_bank[0], kff_bank[0]])
+    return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)
 
 
 # -- modal analysis and certificates ------------------------------------
@@ -436,5 +491,5 @@ def classic_noise_disagreement_variance(
         raise ValueError("disagreement variance requires a connected graph")
     if not gain > 0.0:
         raise ValueError("consensus gain must be positive")
-    lam, v = np.linalg.eigh(laplacian(g))
+    lam, v = _laplacian_modes(g)
     return gain / (2.0 * g.n) * float(np.sum(weight @ v[:, 1:] ** 2 / lam[1:]))

@@ -13,30 +13,39 @@ White noise enters Euler-Maruyama style: an increment of standard
 deviation sigma*sqrt(dt) per channel per step, gated by the onset time,
 on top of the fourth-order deterministic update.
 
-One engine makes every path (`_Jumps`): a noise-free run, `integrate`,
-is a batch of one path, and a noisy run, `run_ensemble`, a batch of its
-R members and its noise-free twin, the same run with every measurement
-channel at zero.  Under an input held constant the RK4 map is affine,
-so from the state at the start of each sub-block of L = _JUMP nodes one
-matrix product gives the outputs of all its nodes, and one increment
-x <- x + ((Phi^L - I) x + F_L) the start of the next (scaling and
-squaring, Moler and Van Loan, SIAM Review 2003, applied to the discrete
-map).  The noise enters linearly: a member's draws over a sub-block add
-two more products, with the Markov parameters C Phi^k bn for its
-outputs and with the Phi^k bn for its next start.  The sub-blocks an
-onset splits, the horizon's last partial one and, per path, any whose
-states cannot be bounded below DIVERGENCE_LIMIT are stepped.  The
-discrete system is the stepped one; only the order of the floating-point
-operations differs, so a path agrees with stepping to rounding (within
-1e-11 of the largest output in the tests), not bit for bit.  Every
-product runs per path, so a path has the same bits whatever the other
+Two paths make the runs, and the loop's structure selects between them.
+`integrate` on a loop with a modal factor, the loop of a uniform network
+(`protocol.ModalFactor`), runs the decoupled modes, nagents loops of b
+states each, block by block (`_integrate_modes`).  Every other run, a
+noise-free one of any other loop and every noisy one, is a batch of the
+jump engine (`_Jumps`): `integrate` a batch of one path, `run_ensemble`
+a batch of its R members and its noise-free twin, the same run with
+every measurement channel at zero.  Under an input held constant the
+RK4 map is affine, so from the state at the start of each sub-block of
+L = _JUMP nodes one matrix product gives the outputs of all its nodes,
+and one increment x <- x + ((Phi^L - I) x + F_L) the start of the next
+(scaling and squaring, Moler and Van Loan, SIAM Review 2003, applied to
+the discrete map).  The noise enters linearly: a member's draws over a
+sub-block add two more products, with the Markov parameters C Phi^k bn
+for its outputs and with the Phi^k bn for its next start.  The
+sub-blocks an onset splits, the horizon's last partial one and, per
+path, any whose states cannot be bounded below DIVERGENCE_LIMIT are
+stepped.  A modal block whose states cannot be bounded makes
+`integrate` redo the run on the jump engine, so a divergence is
+reported where stepping finds it.  Both paths run the stepped discrete
+system; only the order of the floating-point operations differs, so a
+path agrees with stepping to rounding (within 1e-11 of the largest
+output in the tests), not bit for bit.  Every product of the jump
+engine runs per path, so a path has the same bits whatever the other
 members of its batch, as far as BLAS gives a product of one shape the
 same bits.
 
-A run's memory is its outputs plus O(_CHUNK x paths x states), and
-the jump tables' O(_JUMP x states^2 + _JUMP^2 x noise channels x
-outputs): no input table spans the horizon.  Each channel's step input
-is kept as an onset node and an amplitude.
+A run's memory is its outputs plus, on the jump path,
+O(_CHUNK x paths x states) and the tables' O(_JUMP x states^2 + _JUMP^2
+x noise channels x outputs), and on the modal path the tables'
+O(nagents x _CHUNK x b) per input level: no input table spans the
+horizon, and the modal path forms no dense Phi.  Each
+channel's step input is kept as an onset node and an amplitude.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _kernels
-from .protocol import ClosedLoop
+from .protocol import ClosedLoop, ModalFactor
 
 __all__ = [
     "SignalSpec",
@@ -185,8 +194,9 @@ class Trajectory:
 
 
 def rk4_transition(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi, Gamma) of the RK4 step for constant-input LTI dynamics."""
-    n = A.shape[0]
+    """(Phi, Gamma) of the RK4 step for constant-input LTI dynamics; a
+    stack of state matrices gives the stacks of their tables."""
+    n = A.shape[-1]
     eye = np.eye(n)
     hA = dt * A
     P2 = hA @ hA
@@ -212,14 +222,15 @@ def _onset_index(onset: float, dt: float, nsteps: int) -> int:
 
 
 class _Prepared:
-    """Integration tables shared by the paths of a run.
+    """The loop, inputs and start state shared by the paths of a run;
+    each path builds its integration tables from them.
 
     Nothing here grows with the step count but `times`: each channel's
     step input is kept as its onset node and amplitude.
     """
 
     __slots__ = (
-        "phi", "gb", "x0", "C", "Dmat", "onset", "amp", "starts", "bn", "noise_scale",
+        "A", "B", "x0", "C", "Dmat", "onset", "amp", "starts", "bn", "noise_scale",
         "noise_gate", "dt", "nsteps", "times",
     )
 
@@ -242,8 +253,7 @@ class _Prepared:
         white = np.array([s.is_stochastic for s in specs], dtype=bool)
         if np.any(np.abs(sys.D[:, white]) > 0.0):
             raise ValueError("white-noise channel with direct feedthrough is not simulable")
-        self.phi, gamma = rk4_transition(sys.A, dt)
-        self.gb = gamma @ sys.B
+        self.A, self.B = sys.A, sys.B
         y0 = np.asarray(y0, dtype=float).reshape(-1)
         if y0.size != nu:
             raise ValueError(f"y0 needs {nu} entries")
@@ -267,6 +277,11 @@ class _Prepared:
     @property
     def n_noise(self) -> int:
         return self.bn.shape[1]
+
+    def levels(self, amp: np.ndarray) -> np.ndarray:
+        """The inputs held from each of the nodes `starts` on, row after
+        row, of the step amplitudes amp."""
+        return np.where(self.starts[:, None] >= self.onset, amp, 0.0)
 
 
 def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
@@ -312,10 +327,12 @@ class _Jumps:
     finds.
     """
 
-    def __init__(self, prep: _Prepared, A: np.ndarray):
+    def __init__(self, prep: _Prepared):
         self.prep = prep
         C, bn, L = prep.C, prep.bn, _JUMP
-        delta = _rk4_increment(A, prep.dt)
+        self.phi, gamma = rk4_transition(prep.A, prep.dt)
+        self.gb = gamma @ prep.B
+        delta = _rk4_increment(prep.A, prep.dt)
         # O_{j+1} = O_j + (C + O_j) Delta; row block 0 holds C itself
         stack = np.empty((L, *C.shape))
         stack[0] = C
@@ -327,14 +344,14 @@ class _Jumps:
             delta = delta @ delta + 2.0 * delta
         self.delta = delta
         # |x_s| growth + max_j |F_j| bounds the states of the L steps after x_s
-        self.growth = max(1.0, float(np.abs(prep.phi).sum(axis=1).max())) ** L
+        self.growth = max(1.0, float(np.abs(self.phi).sum(axis=1).max())) ** L
         # row block i of inject is (Phi^(L-1-i) bn)'; block (i, j) of
         # markov is (C Phi^(j-1-i) bn)' for i < j and zero otherwise
         (n, nn), nu = bn.shape, C.shape[0]
         powers = np.empty((L, n, nn))
         powers[0] = bn
         for k in range(1, L):
-            powers[k] = prep.phi @ powers[k - 1]
+            powers[k] = self.phi @ powers[k - 1]
         self.inject = powers[::-1].transpose(0, 2, 1).reshape(L * nn, n)
         outputs = np.matmul(C, powers)
         markov = np.zeros((L, nn, L, nu))
@@ -349,9 +366,9 @@ class _Jumps:
     def _level(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(F_L, c, max_j |F_j|) of the input level u."""
         p = self.prep
-        forced = np.zeros((_JUMP + 1, 1, p.phi.shape[0]))
-        forced[1:] = p.gb @ u
-        _kernels.affine_path(p.phi, forced, DIVERGENCE_LIMIT)
+        forced = np.zeros((_JUMP + 1, 1, self.phi.shape[0]))
+        forced[1:] = self.gb @ u
+        _kernels.affine_path(self.phi, forced, DIVERGENCE_LIMIT)
         forced = forced[:, 0]
         c = forced[:_JUMP] @ p.C.T + p.Dmat @ u
         return forced[_JUMP], c, float(np.abs(forced).max())
@@ -377,10 +394,10 @@ class _Jumps:
         twin[p.C.shape[0]:] = 0.0  # the measurement channels follow the nu disturbance channels
         # (paths, step levels, the jump terms of each stretch between onsets)
         groups = [
-            (g, amp, [self._level(np.where(k >= p.onset, amp, 0.0)) for k in p.starts])
+            (g, amp, [self._level(u) for u in p.levels(amp)])
             for g, amp in ((slice(0, lo), twin), (slice(lo, P), p.amp)) if g.start < g.stop
         ]
-        x = np.empty((_CHUNK // L + 1, P, p.phi.shape[0]))  # sub-block starts
+        x = np.empty((_CHUNK // L + 1, P, self.phi.shape[0]))  # sub-block starts
         x[0] = p.x0
         # x[i] as rows and as the (P, n, 1) stacks of the per-path products
         views = list(x), list(x[..., None])
@@ -464,26 +481,122 @@ class _Jumps:
         for g, amp, _ in groups:
             sel = (paths >= g.start) & (paths < g.stop)
             u = np.where(np.arange(s, s + m + 1)[:, None] >= p.onset, amp, 0.0)
-            path[1:, sel] = (u[:-1] @ p.gb.T)[:, None]
+            path[1:, sel] = (u[:-1] @ self.gb.T)[:, None]
             feed[sel] = u[:rows] @ p.Dmat.T
         if p.n_noise:
             path[1:] += (w[paths, :m] @ p.bn.T).transpose(1, 0, 2)
-        blow = _kernels.affine_path(p.phi, path, DIVERGENCE_LIMIT)
+        blow = _kernels.affine_path(self.phi, path, DIVERGENCE_LIMIT)
         if blow >= 0:
             raise SimulationDiverged((s + blow) * p.dt)
         return path[:rows].transpose(1, 0, 2) @ p.C.T + feed, path[-1]
 
 
+def _to_modes(modal: ModalFactor, X: np.ndarray) -> np.ndarray:
+    """T^{-1} X of the n x m array X as (nagents, b, m): row (k, s) is
+    state s of mode k, the groups' states one after the other."""
+    nu, parts, ofs = modal.transforms[0].shape[0], [], 0
+    for Minv, b in zip(modal.inverses, modal.sizes):
+        parts.append((Minv @ X[ofs:ofs + nu * b].reshape(nu, -1)).reshape(nu, b, -1))
+        ofs += nu * b
+    return np.concatenate(parts, axis=1)
+
+
+def _mode_blocks(modal: ModalFactor, Z: np.ndarray) -> np.ndarray:
+    """The mode-k blocks of Z T, of the rows Z[k] of mode k of the
+    (nagents, p, n) array Z, as (nagents, p, b)."""
+    nu, p = Z.shape[:2]
+    parts, ofs = [], 0
+    for M, b in zip(modal.transforms, modal.sizes):
+        cols = Z[:, :, ofs:ofs + nu * b].reshape(nu, p, nu, b)
+        parts.append(np.einsum("kpit,ik->kpt", cols, M))
+        ofs += nu * b
+    return np.concatenate(parts, axis=2)
+
+
+def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool:
+    """Fills y with the outputs of the run, integrated mode by mode, and
+    returns True; returns False at the first block whose states cannot
+    be bounded below DIVERGENCE_LIMIT.
+
+    Under x = T z (`ModalFactor`) mode k is the b-state RK4 system
+    z <- Phi_k z + g_k with the output w_k = c_k z, and y = M_0 w + D u.
+    Over a block of up to _CHUNK nodes from node s under one input level,
+    w_{s+j,k} = c_k Phi_k^j z_{s,k} + c_k f_{j,k}, f_j the forced response
+    from z = 0, so one table of the c_k Phi_k^j (nagents x _CHUNK x b) and,
+    per level, one of the c_k f_j give the block's outputs, and
+    z_{s+m} = Phi^m z_s + f_m, taken by the binary powers of m, its end.
+    No table holds more than O(nagents x _CHUNK x b) numbers per level.
+    The bound on a block's states, x = T z, is |T| (G |z_s| + max_j |f_j|)
+    (infinity norms, G = max_{j <= _CHUNK} max_k |Phi_k^j|).
+    """
+    A = _mode_blocks(modal, _to_modes(modal, prep.A))
+    c = _mode_blocks(modal, (modal.inverses[0] @ prep.C)[:, None])[:, 0]
+    z = _to_modes(modal, prep.x0[:, None])[:, :, 0]
+    u = prep.levels(prep.amp)
+    phi, gamma = rk4_transition(A, prep.dt)
+    g = gamma @ _to_modes(modal, prep.B @ u.T)  # (mode, state, level)
+    nu, b, nl = g.shape
+    bits = _CHUNK.bit_length()  # Phi^(2^i) and f_(2^i), i < bits, make any block
+    powers = np.empty((bits, nu, b, b))
+    ends = np.empty((bits, nu, b, nl))
+    growth, fmax = 1.0, np.zeros(nl)
+    batch = max(1, 2**15 // (_CHUNK * b * b))  # modes whose powers are held at once
+    with np.errstate(all="ignore"):
+        for k in range(0, nu, batch):
+            ks = slice(k, k + batch)
+            nk = phi[ks].shape[0]
+            P = np.empty((nk, _CHUNK + 1, b, b))  # P[:, j] = Phi^j
+            P[:, 0] = np.eye(b)
+            P[:, 1] = phi[ks]
+            for m in 2 ** np.arange(bits - 1):  # Phi^(m+i) = Phi^i Phi^m, i = 1 .. m
+                np.matmul(P[:, 1:m + 1].reshape(nk, -1, b), P[:, m], out=P[:, m + 1:2 * m + 1].reshape(nk, -1, b))
+            f = np.zeros((nk, _CHUNK + 1, b, nl))  # f[:, j] = sum_{i<j} Phi^i g
+            np.cumsum((P[:, :_CHUNK].reshape(nk, -1, b) @ g[ks]).reshape(nk, _CHUNK, b, nl), axis=1, out=f[:, 1:])
+            fmax = np.maximum(fmax, np.abs(np.moveaxis(f, 3, 0)).reshape(nl, -1).max(axis=1))
+            powers[:, ks] = P[:, 2 ** np.arange(bits)].transpose(1, 0, 2, 3)
+            ends[:, ks] = f[:, 2 ** np.arange(bits)].transpose(1, 0, 2, 3)
+            rows = np.abs(P, out=P).reshape(-1, b) @ np.ones(b)
+            growth = np.maximum(growth, rows.max())  # NaN stays
+        out = np.empty((nu, _CHUNK, b))  # c_k Phi_k^j
+        out[:, 0] = c
+        for i in range(bits - 1):
+            np.matmul(out[:, :1 << i], powers[i], out=out[:, 1 << i:2 << i])
+        forced = np.zeros((nl, _CHUNK, nu))  # c_k f_j of each level
+        np.cumsum((out[:, :-1] @ g).transpose(2, 1, 0), axis=1, out=forced[:, 1:])
+        mix = modal.transforms[0].T
+        forced = forced @ mix + (u @ prep.Dmat.T)[:, None]  # y less the free response
+        tnorm = max(float(np.abs(M).sum(axis=1).max()) for M in modal.transforms)
+        s, last = 0, prep.nsteps
+        while s <= last:
+            v = int(np.searchsorted(prep.starts, s, side="right")) - 1
+            end = prep.starts[v + 1] if v + 1 < prep.starts.size else last + 1
+            m = min(_CHUNK, end - s)
+            if not tnorm * (growth * np.abs(z).max() + fmax[v]) < DIVERGENCE_LIMIT:
+                return False
+            np.matmul((out[:, :m] @ z[:, :, None])[:, :, 0].T, mix, out=y[s:s + m])
+            y[s:s + m] += forced[v, :m]
+            if s + m <= last:
+                for i in np.flatnonzero(m >> np.arange(bits) & 1):
+                    z = (powers[i] @ z[:, :, None])[:, :, 0] + ends[i, :, :, v]
+            s += m
+    return True
+
+
 def integrate(loop, d, n, y0, dt: float, T: float) -> Trajectory:
-    """Deterministic RK4 run, one noise-free path of the engine;
-    white-noise specs are rejected."""
+    """Deterministic RK4 run; white-noise specs are rejected.
+
+    A loop with a modal factor is integrated mode by mode
+    (`_integrate_modes`), any other by the jump engine as one noise-free
+    path.  If a block of the modal path cannot be bounded below
+    DIVERGENCE_LIMIT the run is redone by the jump engine, so that a
+    divergence is reported at the node stepping finds."""
     prep = _Prepared(loop, d, n, y0, dt, T)
     if prep.n_noise > 0:
         raise ValueError("integrate handles deterministic signals only")
-    jumps = _Jumps(prep, loop.dynamics.A)
     y = np.empty((prep.nsteps + 1, loop.nagents))
-    for s, block in jumps.run(None, [0]):
-        y[s:s + block.shape[1]] = block[0]
+    if loop.modal is None or not _integrate_modes(prep, loop.modal, y):
+        for s, block in _Jumps(prep).run(None, [0]):
+            y[s:s + block.shape[1]] = block[0]
     return Trajectory(times=prep.times, outputs=y)
 
 
@@ -516,9 +629,11 @@ class EnsembleStats:
 
 
 def least_squares_slope(t: np.ndarray, v: np.ndarray) -> float:
-    """Slope of the least-squares line through the points (t, v)."""
-    tbar = t.mean()
-    return float(np.dot(t - tbar, v - v.mean()) / np.dot(t - tbar, t - tbar))
+    """Slope of the least-squares line through the points (t, v).  The
+    sums are einsum's own loops: a threaded BLAS dot of a long vector
+    can stall for milliseconds."""
+    dt = t - t.mean()
+    return float(np.einsum("i,i->", dt, v - v.mean()) / np.einsum("i,i->", dt, dt))
 
 
 def run_ensemble(
@@ -547,7 +662,7 @@ def run_ensemble(
     mean = np.empty(npts)
     variance = np.empty(npts)
     kept = np.empty((keep, npts, loop.nagents))
-    jumps = _Jumps(prep, loop.dynamics.A)
+    jumps = _Jumps(prep)
     for s, y in jumps.run(seed, [None, *range(realizations)]):
         nodes = slice(s, s + y.shape[1])
         kept[:, nodes] = y[1:keep + 1]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg as scipy_linalg
 
 from agreelab.graph import Graph, degrees, laplacian, modal_transform
 from agreelab.lti import RationalTF, tf_feedback, tf_poles
@@ -358,3 +359,86 @@ class TestNoiseModelResolution:
     def test_disconnected_graph_rejected(self, g):
         with pytest.raises(ValueError, match="connected"):
             classic_noise_disagreement_variance(g, 2.65)
+
+
+def seeded_graph(n, chords, seed):
+    """A path of n nodes plus `chords` seeded random chords."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, i + 1) for i in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        i, j = sorted(rng.choice(np.arange(1, n + 1), 2, replace=False).tolist())
+        edges.add((i, j))
+    return Graph(n, edges)
+
+
+LAG2 = RationalTF([-4.0, -10.0], [5.0, 1.0])  # stabilizes 1/(s (s + 1)) locally
+UNIFORM_LOOPS = {
+    "classic-static-1": lambda g: build_classic(g, integrator_agents(g.n), ClassicConfig(gains=2.65)),
+    "classic-filter-1": lambda g: build_classic(
+        g, integrator_agents(g.n), ClassicConfig(gains=2.65, shared_filter=RationalTF([2.0], [2.0, 1.0]))),
+    "classic-static-2": lambda g: build_classic(
+        g, [AgentModel(RationalTF([1.0, 4.0, 1.0], [2.0, 3.0, 1.0]))] * g.n, ClassicConfig(gains=1.3)),
+    "classic-filter-2": lambda g: build_classic(
+        g, [AgentModel(RationalTF([1.0], [0.0, 1.0, 1.0]))] * g.n,
+        ClassicConfig(gains=0.7, shared_filter=RationalTF([1.0, 3.0], [2.0, 1.0]))),
+    "2dof-lag": lambda g: build_2dof(g, integrator_agents(g.n, FD0), TwoDofConfig(FA)),
+    "2dof-2-state": lambda g: build_2dof(
+        g, [AgentModel(RationalTF([1.0], [0.0, 1.0, 1.0]), LAG2)] * g.n, TwoDofConfig(FA)),
+}
+
+
+class TestModalFactor:
+    """A uniform network's loop splits into decoupled modes under
+    x = T z, T = blockdiag_g(M_g kron I_{b_g}) (protocol.ModalFactor)."""
+
+    @staticmethod
+    def split(loop):
+        """(T^{-1} A T, M_0^{-1} C T) and each modal state's mode."""
+        f = loop.modal
+        T = scipy_linalg.block_diag(*[np.kron(M, np.eye(b)) for M, b in zip(f.transforms, f.sizes)])
+        Tinv = scipy_linalg.block_diag(*[np.kron(M, np.eye(b)) for M, b in zip(f.inverses, f.sizes)])
+        mode = np.concatenate([np.repeat(np.arange(loop.nagents), b) for b in f.sizes])
+        return Tinv @ loop.dynamics.A @ T, f.inverses[0] @ loop.dynamics.C @ T, mode
+
+    @pytest.mark.parametrize("n, seed", [(12, 0), (12, 1), (60, 2)])
+    @pytest.mark.parametrize("name", list(UNIFORM_LOOPS))
+    def test_off_mode_entries_vanish(self, name, n, seed):
+        loop = UNIFORM_LOOPS[name](seeded_graph(n, n, seed))
+        A, C, mode = self.split(loop)
+        for M, Minv in zip(loop.modal.transforms, loop.modal.inverses):
+            assert np.allclose(M @ Minv, np.eye(n), atol=1e-12)
+        off = mode[:, None] != mode[None, :]
+        assert np.max(np.abs(A[off])) <= 1e-12 * np.max(np.abs(loop.dynamics.A))
+        # the outputs mix as the plant states: row k of M_0^{-1} C T lies in mode k
+        off = np.arange(n)[:, None] != mode[None, :]
+        assert np.max(np.abs(C[off])) <= 1e-12 * np.max(np.abs(loop.dynamics.C))
+
+    def test_group_sizes_are_the_agents_states(self):
+        loop = UNIFORM_LOOPS["2dof-2-state"](DART)
+        assert loop.modal.sizes == (2, 1, 4)
+        assert sum(loop.modal.sizes) * 5 == loop.dynamics.A.shape[0]
+        # a static shared filter has no states, so no group
+        assert UNIFORM_LOOPS["classic-static-1"](DART).modal.sizes == (1,)
+
+    def test_dist_pi_twodof_has_no_factor(self):
+        from agreelab.scenarios import load_scenario
+
+        configs = load_scenario("dist-pi")
+        assert configs["twodof"].build_loop().modal is None
+        assert configs["classic"].build_loop().modal is not None
+
+    def test_unequal_gains_have_no_factor(self):
+        assert build_classic(DART, integrator_agents(5), ClassicConfig(gains=[2.65] * 4 + [1.0])).modal is None
+        assert build_classic(DART, integrator_agents(5), ClassicConfig(gains=[2.65] * 5)).modal is not None
+
+    def test_per_agent_lists(self):
+        # equal agents given one by one are uniform; one different plant
+        # or controller is not
+        equal = [AgentModel(RationalTF([1.0], [0.0, 1.0]), RationalTF([-16.0, -7.586], [0.4143, 1.0]))
+                 for _ in range(5)]
+        assert build_2dof(DART, equal, TwoDofConfig(FA)).modal is not None
+        assert build_classic(DART, equal, ClassicConfig(gains=1.0)).modal is not None
+        plant = equal[:4] + [AgentModel(RationalTF([2.0], [0.0, 1.0]), FD0)]
+        assert build_2dof(DART, plant, TwoDofConfig(FA)).modal is None
+        assert build_classic(DART, plant, ClassicConfig(gains=1.0)).modal is None
+        assert build_2dof(DART, equal[:4] + [AgentModel(INTEGRATOR, PI)], TwoDofConfig(FA)).modal is None

@@ -28,6 +28,7 @@ from agreelab.sim import (
     _Jumps,
     _Prepared,
     integrate,
+    least_squares_slope,
     member_seed,
     rk4_transition,
     run_ensemble,
@@ -56,6 +57,19 @@ def twodof_loop():
     fd = RationalTF([-16.0, -7.586], [0.4143, 1.0])
     agents = [AgentModel(INTEGRATOR, fd) for _ in range(5)]
     return build_2dof(DART, agents, TwoDofConfig(make_filter(FilterParams(3.0, 5.0, 2.0))))
+
+
+def filtered_loop():
+    """Uniform classic loop on the dart with a first-order shared filter."""
+    F = RationalTF([2.0], [2.0, 1.0])
+    return build_classic(DART, [AgentModel(INTEGRATOR)] * 5, ClassicConfig(gains=2.65, shared_filter=F))
+
+
+def biproper_loop():
+    """Uniform classic loop of 2-state plants that feed their inputs
+    through, so that the outputs depend on the mode (c_k)."""
+    plant = RationalTF([1.0, 4.0, 1.0], [2.0, 3.0, 1.0])
+    return build_classic(DART, [AgentModel(plant)] * 5, ClassicConfig(gains=2.65))
 
 
 def feedthrough_loop(noisy=False):
@@ -92,10 +106,11 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization):
     the inputs of every node formed by one product over the dense step
     table; the noise stays off when seed is None."""
     p = _Prepared(loop, d, n, y0, dt, T)
+    phi, gamma = rk4_transition(loop.dynamics.A, dt)
     u = step_table(loop, d, n, dt, T)
-    out = np.empty((p.nsteps + 1, p.phi.shape[0]))
+    out = np.empty((p.nsteps + 1, phi.shape[0]))
     out[0] = p.x0
-    np.matmul(u[:-1], p.gb.T, out=out[1:])
+    np.matmul(u[:-1], (gamma @ loop.dynamics.B).T, out=out[1:])
     if seed is not None:
         rng = np.random.Generator(np.random.Philox(member_seed(seed, realization)))
         w = rng.standard_normal((p.nsteps, p.n_noise))
@@ -105,7 +120,7 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization):
         out[1:] += w @ p.bn.T
     for k in range(1, out.shape[0]):
         x = out[k]
-        x += p.phi @ out[k - 1]
+        x += phi @ out[k - 1]
         if not np.all(np.abs(x) < DIVERGENCE_LIMIT):
             raise SimulationDiverged(k * p.dt)
     return out @ p.C.T + u @ p.Dmat.T
@@ -116,7 +131,7 @@ def stepped(loop, d, n, y0, dt, T, seed, members):
     run together by the engine; a member None is the noise-free twin."""
     p = _Prepared(loop, d, n, y0, dt, T)
     y = np.empty((p.nsteps + 1, len(members), loop.nagents))
-    for s, block in _Jumps(p, loop.dynamics.A).run(seed, members):
+    for s, block in _Jumps(p).run(seed, members):
         y[s:s + block.shape[1]] = block.transpose(1, 0, 2)
     return y
 
@@ -410,10 +425,15 @@ class TestBatchedEngine:
 
 
 class TestJumpPath:
-    """integrate jumps _JUMP nodes at a time; the stepping oracle agrees
-    to rounding for every sub-block and block boundary case."""
+    """integrate runs a uniform network's loop mode by mode and any other
+    loop by jumps of _JUMP nodes; the stepping oracle agrees to rounding
+    for every sub-block and block boundary case.  The hand-built loops
+    take the jump path, the built ones the modal path."""
 
-    LOOPS = {"1": scalar_loop(-0.5), "5": consensus_loop(), "30": twodof_loop(), "feedthrough": feedthrough_loop()}
+    LOOPS = {
+        "1": scalar_loop(-0.5), "feedthrough": feedthrough_loop(),
+        "5": consensus_loop(), "30": twodof_loop(), "filtered": filtered_loop(), "2-state-plant": biproper_loop(),
+    }
     DT = 1e-2
     ONSETS = {  # node of the step on disturbance channel 0, from nsteps
         "node-0": lambda nsteps: 0,
@@ -445,6 +465,32 @@ class TestJumpPath:
         traj = integrate(cfg.build_loop(), cfg.signals_d, cfg.signals_n, cfg.y0, cfg.dt, cfg.horizon)
         want = np.mean(cfg.y0) + 1.0 * (60.0 - 5.0) / 5
         assert abs(np.mean(traj.outputs[-1]) - want) <= 3e-13 * abs(want)
+
+    def test_loop_structure_selects_the_path(self, monkeypatch):
+        def no_jumps(*args):
+            raise AssertionError("jump engine used")
+
+        monkeypatch.setattr(_Jumps, "__init__", no_jumps)
+        for name, loop in self.LOOPS.items():
+            assert (loop.modal is None) == (name in ("1", "feedthrough"))
+            if loop.modal is not None:
+                integrate(loop, ZERO, ZERO, np.ones(loop.nagents), self.DT, 1.0)
+        with pytest.raises(AssertionError, match="jump engine"):
+            integrate(self.LOOPS["1"], ZERO, ZERO, [1.0], self.DT, 1.0)
+
+    @pytest.mark.parametrize("y0", [1.0, np.nan])
+    def test_unstable_uniform_network_diverges_at_stepping_time(self, y0):
+        # 1/(s - 0.5) agents: the agreement mode grows as e^(t/2); a block
+        # whose states cannot be bounded reruns the run on the jump path
+        loop = build_classic(DART, [AgentModel(RationalTF([1.0], [-0.5, 1.0]))] * 5, ClassicConfig(gains=1.0))
+        assert loop.modal is not None
+        y0 = np.array([y0, 0.5, -0.25, 0.0, 1.5])
+        d = SignalSpec.step(0.3, onset=2.0)
+        with pytest.raises(SimulationDiverged) as want:
+            reference_member(loop, d, ZERO, y0, self.DT, 60.0, None, 0)
+        with pytest.raises(SimulationDiverged) as got:
+            integrate(loop, d, ZERO, y0, self.DT, 60.0)
+        assert got.value.time == want.value.time
 
     @pytest.mark.parametrize("x0", [0.3, 1e8, 2e9, np.nan])
     def test_divergence_time_matches_stepping(self, x0):
@@ -488,8 +534,9 @@ class TestBlockInputs:
 
 class TestMemory:
     """A run holds its outputs and O(_CHUNK x paths x states + _JUMP x
-    states^2) more, however long the horizon: the 30-state 2DOF loop over
-    60,000 steps and a 360-state one."""
+    states^2) more on the jump path, O(_CHUNK x states) on the modal
+    path, however long the horizon: the 30-state 2DOF loop over 60,000
+    steps and a 360-state one."""
 
     SLACK = 2 * 2**20  # bytes
 
@@ -524,7 +571,7 @@ class TestMemory:
         assert peak < traj.outputs.nbytes + traj.times.nbytes + self.SLACK
 
     def test_integrate_peak_360_states(self):
-        # the jump tables hold O(_JUMP x states^2)
+        # the modal tables hold O(_CHUNK x states) per input level
         loop = self.ring_loop()
         d = [SignalSpec.step(0.5, onset=10.0)] + [ZERO] * 59
         traj, peak = self.traced_peak(lambda T: integrate(loop, d, ZERO, np.linspace(1, -1, 60), 1e-3, T))
@@ -591,6 +638,10 @@ class TestMetrics:
             seed=0, realizations=29, projection=[1.0],
         )
         assert stats.drift_slope() is None
+
+    def test_least_squares_slope_of_a_long_line(self):
+        t = np.arange(30_001) * 1e-3
+        assert least_squares_slope(t, 0.37 * t - 2.0) == pytest.approx(0.37, rel=1e-13)
 
     def test_drift_slope_list_matches_stats(self):
         # the slope of the members' two-pass variance over [T/2, T]
