@@ -103,40 +103,35 @@ def tf_feedback(p: RationalTF, f: RationalTF) -> tuple[RationalTF, RationalTF]:
     return RationalTF(den_open, den_cl), RationalTF(p.num * f.den, den_cl)
 
 
-def _snapped_roots(p: Polynomial) -> list:
+def _snapped_roots(p: Polynomial) -> np.ndarray:
     """poly_roots(p), each root within CANCEL_TOL of the real axis made
     real: a double real root comes back as a pair +-1e-8j or so, and a
     real root cancelling one of the pair would orphan the other."""
     if p.degree < 1:
-        return []
+        return np.zeros(0, dtype=complex)
     roots = poly_roots(p).astype(complex)
     roots.imag[np.abs(roots.imag) <= CANCEL_TOL] = 0.0
-    return list(roots)
+    return roots
 
 
 def _cancelled_roots(g: RationalTF) -> tuple[np.ndarray, np.ndarray]:
     """The zeros and poles of g left after numerator/denominator root
     pairs closer than CANCEL_TOL are removed, each in poly_roots order
     and snapped to the real axis within CANCEL_TOL; none for the zero
-    function.  Pairs are matched greedily by absolute distance."""
+    function.  Pairs are matched greedily by absolute distance, the
+    first closest pair in zero-major order first."""
     if g.num.is_zero:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
     zeros = _snapped_roots(g.num)
     poles = _snapped_roots(g.den)
-    changed = True
-    while changed and zeros and poles:
-        changed = False
-        best = None
-        for i, z in enumerate(zeros):
-            for j, q in enumerate(poles):
-                d = abs(z - q)
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        if best is not None and best[0] < CANCEL_TOL:
-            zeros.pop(best[1])
-            poles.pop(best[2])
-            changed = True
-    return np.array(zeros, dtype=complex), np.array(poles, dtype=complex)
+    dist = np.abs(zeros[:, None] - poles[None, :])
+    while dist.size:
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        if not dist[i, j] < CANCEL_TOL:
+            break
+        zeros, poles = np.delete(zeros, i), np.delete(poles, j)
+        dist = np.delete(np.delete(dist, i, axis=0), j, axis=1)
+    return zeros, poles
 
 
 def tf_cancel(g: RationalTF) -> RationalTF:

@@ -186,81 +186,46 @@ class CancellationVerdict:
 # -- loop assembly ------------------------------------------------------
 
 
-def _output_injection(ss: StateSpace) -> np.ndarray:
-    """Minimum-norm state vector x with C x = 1 (per-agent y0 injection)."""
-    c = ss.C.reshape(-1)
-    nrm2 = float(c @ c)
-    if ss.nstates == 0 or nrm2 == 0.0:
-        raise ValueError("cannot set an initial output level on a static plant")
-    return c / nrm2
-
-
 def _assemble(
     plants: Sequence[StateSpace],
     banks: Sequence[tuple[Sequence[StateSpace], np.ndarray, np.ndarray]],
 ) -> tuple[StateSpace, np.ndarray]:
     """Close u = sum_b bank_b(My_b y + Mn_b n) around y = P (u + d).
 
-    Returns the aggregate (A, [Bd Bn], C, [Dd Dn]) system and the
-    y0-injection map.
+    The banks form one block-diagonal controller with the input
+    My y + Mn n, My and Mn the banks' couplings stacked, whose outputs
+    [I I ...] sums into u.  Returns the aggregate (A, [Bd Bn], C,
+    [Dd Dn]) system and the y0-injection map.
     """
     nu = len(plants)
     plant = ss_block_diag(plants)
-    np_states = plant.nstates
+    ctrl = ss_block_diag([s for bank, _, _ in banks for s in bank])
+    k, n = plant.nstates, plant.nstates + ctrl.nstates  # plant states, all states
+    My = np.vstack([m for _, m, _ in banks])
+    Mn = np.vstack([m for _, _, m in banks])
+    eye = np.eye(nu)
+    # [I I ...] C and [I I ...] D, summed without the product
+    Cc = ctrl.C.reshape(len(banks), nu, -1).sum(axis=0)
+    Dc = ctrl.D.reshape(len(banks), nu, -1).sum(axis=0)
+    Dcy, Dcn = Dc @ My, Dc @ Mn
 
-    bank_sys = [ss_block_diag(b) for b, _, _ in banks]
-    nc = sum(b.nstates for b in bank_sys)
-    Ac = np.zeros((nc, nc))
-    Bcy = np.zeros((nc, nu))
-    Bcn = np.zeros((nc, nu))
-    Cc = np.zeros((nu, nc))
-    Dcy = np.zeros((nu, nu))
-    Dcn = np.zeros((nu, nu))
-    ofs = 0
-    for sysb, (_, My, Mn) in zip(bank_sys, banks):
-        nb = sysb.nstates
-        Ac[ofs : ofs + nb, ofs : ofs + nb] = sysb.A
-        Bcy[ofs : ofs + nb] = sysb.B @ My
-        Bcn[ofs : ofs + nb] = sysb.B @ Mn
-        Cc[:, ofs : ofs + nb] = sysb.C
-        Dcy += sysb.D @ My
-        Dcn += sysb.D @ Mn
-        ofs += nb
-
-    E = np.eye(nu) - plant.D @ Dcy
+    E = eye - plant.D @ Dcy
     if abs(np.linalg.det(E)) < 1e-12:
         raise ValueError("algebraic loop: interconnection is not well posed")
     Ei = np.linalg.inv(E)
+    # y and the plant input u + d as maps of [x_plant, x_ctrl, d, n]
+    Y = np.hstack([Ei @ plant.C, Ei @ plant.D @ np.hstack([Cc, eye, Dcn])])
+    U = np.hstack([np.zeros((nu, k)), Cc, eye, Dcn]) + Dcy @ Y
+    X = np.vstack([plant.B @ U, (ctrl.B @ My) @ Y])  # the state derivative
+    X[:k, :k] += plant.A
+    X[k:, k:n] += ctrl.A
+    X[k:, n + nu :] += ctrl.B @ Mn
 
-    Y_xp = Ei @ plant.C
-    Y_xc = Ei @ plant.D @ Cc
-    Y_d = Ei @ plant.D
-    Y_n = Ei @ plant.D @ Dcn
-    U_xp = Dcy @ Y_xp
-    U_xc = Cc + Dcy @ Y_xc
-    U_d = Dcy @ Y_d
-    U_n = Dcn + Dcy @ Y_n
-
-    n_total = np_states + nc
-    A = np.zeros((n_total, n_total))
-    A[:np_states, :np_states] = plant.A + plant.B @ U_xp
-    A[:np_states, np_states:] = plant.B @ U_xc
-    A[np_states:, :np_states] = Bcy @ Y_xp
-    A[np_states:, np_states:] = Ac + Bcy @ Y_xc
-
-    Bd = np.vstack([plant.B @ (U_d + np.eye(nu)), Bcy @ Y_d])
-    Bn = np.vstack([plant.B @ U_n, Bcn + Bcy @ Y_n])
-    C = np.hstack([Y_xp, Y_xc])
-    D = np.hstack([Y_d, Y_n])
-
-    x0_map = np.zeros((n_total, nu))
-    ofs = 0
-    for i, p in enumerate(plants):
-        x0_map[ofs : ofs + p.nstates, i] = _output_injection(p)
-        ofs += p.nstates
-
-    sys = StateSpace(A, np.hstack([Bd, Bn]), C, D)
-    return sys, x0_map
+    nrm2 = np.sum(plant.C**2, axis=1)  # y0 enters agent i's plant as C_i' / |C_i|^2
+    if np.any(nrm2 == 0.0):
+        raise ValueError("cannot set an initial output level on a static plant")
+    x0_map = np.vstack([plant.C.T / nrm2, np.zeros((ctrl.nstates, nu))])
+    return StateSpace(X[:, :n], X[:, n:], Y[:, :n], Y[:, n:]), x0_map
 
 
 def _modal_factor(pairs, systems) -> ModalFactor:

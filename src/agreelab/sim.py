@@ -283,6 +283,12 @@ class _Prepared:
         row, of the step amplitudes amp."""
         return np.where(self.starts[:, None] >= self.onset, amp, 0.0)
 
+    def stretch(self, s: int) -> tuple[int, int]:
+        """The input level v in force at node s, a row of `levels`, and
+        the node at which it ends: the next start, or nsteps + 1."""
+        v = int(np.searchsorted(self.starts, s, side="right")) - 1
+        return v, int(self.starts[v + 1]) if v + 1 < self.starts.size else self.nsteps + 1
+
 
 def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
     """Phi - I of the RK4 step in Horner form, hA (I + hA (I/2 + hA (I/6
@@ -405,8 +411,7 @@ class _Jumps:
         scale = np.tile(p.noise_scale, _CHUNK)
         s, last = 0, p.nsteps
         while s <= last:
-            v = int(np.searchsorted(p.starts, s, side="right")) - 1
-            end = p.starts[v + 1] if v + 1 < p.starts.size else last + 1
+            v, end = p.stretch(s)
             r = min((end - s) // L, _CHUNK // L)  # whole sub-blocks under level v
             m = r * L if r else min(L, last - s)  # steps, leaving nodes s .. s + m - 1
             for wr, rng in zip(w[lo:], rngs):
@@ -568,8 +573,7 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
         tnorm = max(float(np.abs(M).sum(axis=1).max()) for M in modal.transforms)
         s, last = 0, prep.nsteps
         while s <= last:
-            v = int(np.searchsorted(prep.starts, s, side="right")) - 1
-            end = prep.starts[v + 1] if v + 1 < prep.starts.size else last + 1
+            v, end = prep.stretch(s)
             m = min(_CHUNK, end - s)
             if not tnorm * (growth * np.abs(z).max() + fmax[v]) < DIVERGENCE_LIMIT:
                 return False

@@ -97,3 +97,42 @@ def test_guard_sees_private_imports():
     assert private_imports("from . import scenarios\nscenarios._load('x')") == ["scenarios._load"]
     assert private_imports("from . import _kernels\n_kernels.affine_path") == []
     assert private_imports("from typing import _T") == []
+
+
+def agreelab_imports(source: str) -> list[str]:
+    """Dotted names a script imports from agreelab: `import agreelab.sim`
+    gives agreelab.sim, `from agreelab import _kernels` agreelab._kernels
+    and `from agreelab.sim import integrate` agreelab.sim.integrate."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.split(".")[0] == "agreelab"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "agreelab":
+            names += [f"{node.module}.{a.name}" for a in node.names]
+    return names
+
+
+def resolves(name: str) -> bool:
+    """`name` is a module, or an attribute of a module that resolves."""
+    try:
+        importlib.import_module(name)
+        return True
+    except ModuleNotFoundError:
+        parent, _, attr = name.rpartition(".")
+        return bool(parent) and resolves(parent) and hasattr(importlib.import_module(parent), attr)
+
+
+def test_every_agreelab_import_of_the_benchmark_resolves():
+    # the benchmark imports modules that Tier-1 may not: a pass would
+    # crash on a deleted one while every other test stays green
+    imports = {path.name: agreelab_imports(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert "agreelab._kernels" in imports["one_pass.py"]
+    unresolved = {name: bad for name, found in imports.items() if (bad := [n for n in found if not resolves(n)])}
+    assert unresolved == {}
+
+
+def test_guard_sees_unresolved_imports():
+    found = agreelab_imports("import agreelab.sim\nfrom agreelab import _kernels, _gone\nfrom agreelab.sim import nothing")
+    assert found == ["agreelab.sim", "agreelab._kernels", "agreelab._gone", "agreelab.sim.nothing"]
+    assert [resolves(n) for n in found] == [True, True, False, False]
+    assert agreelab_imports("from . import sim\nimport numpy") == []

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from agreelab.lti import (
+    CANCEL_TOL,
     RationalTF,
     StateSpace,
     h2_norm_sq,
@@ -13,6 +14,8 @@ from agreelab.lti import (
     tf_poles,
     tf_to_ss,
     tf_zeros,
+    _cancelled_roots,
+    _snapped_roots,
 )
 from agreelab.design import FilterParams, make_filter
 from agreelab.numerics import Polynomial, lyapunov_solve, poly_roots
@@ -249,6 +252,71 @@ class TestCancelMultipleRoots:
         want = float(np.trace(ss.C @ lyapunov_solve(ss.A, ss.B @ ss.B.T) @ ss.C.T))
         # the surviving copy of a double pole is known to ~1e-8 only
         assert h2_norm_sq(mode_transfer(fa, 0.0) * fa) == pytest.approx(want, rel=1e-7)
+
+
+def nested_loop_pairing(g: RationalTF) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for _cancelled_roots: each pass scans every zero/pole pair
+    and removes the first closest one, while it is closer than CANCEL_TOL."""
+    if g.num.is_zero:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    zeros = list(_snapped_roots(g.num))
+    poles = list(_snapped_roots(g.den))
+    changed = True
+    while changed and zeros and poles:
+        changed = False
+        best = None
+        for i, z in enumerate(zeros):
+            for j, q in enumerate(poles):
+                d = abs(z - q)
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        if best[0] < CANCEL_TOL:
+            zeros.pop(best[1])
+            poles.pop(best[2])
+            changed = True
+    return np.array(zeros, dtype=complex), np.array(poles, dtype=complex)
+
+
+def planted_rational(rng) -> RationalTF:
+    """Numerator and denominator that share one to three roots, each
+    moved on the zero side by an offset from 1e-9 to 1e-5 (CANCEL_TOL
+    lies inside) or by none: real roots once or twice on either side, and
+    conjugate pairs.  One or two unshared roots per side come on top."""
+    zeros, poles = [], []
+    for _ in range(rng.integers(1, 4)):
+        offset = rng.choice([0.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -5.0)
+        if rng.random() < 0.6:
+            r = rng.uniform(-4.0, 1.0)
+            poles += [r] * int(rng.integers(1, 3))
+            zeros += [r + offset * rng.choice([-1.0, 1.0])] * int(rng.integers(1, 3))
+        else:
+            r = complex(rng.uniform(-4.0, 1.0), rng.uniform(0.2, 4.0))
+            z = r + offset * np.exp(2j * np.pi * rng.random())
+            poles += [r, r.conjugate()]
+            zeros += [z, z.conjugate()]
+    for side in (zeros, poles):
+        side += list(rng.uniform(-6.0, 2.0, int(rng.integers(0, 3))))
+    return RationalTF(Polynomial.from_roots(zeros, leading=rng.uniform(0.5, 3.0)), Polynomial.from_roots(poles))
+
+
+class TestRootPairing:
+    def test_matches_nested_loop_pairing_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        removed = []
+        for _ in range(500):
+            g = planted_rational(rng)
+            want = nested_loop_pairing(g)
+            got = _cancelled_roots(g)
+            for w, r in zip(want, got):
+                assert r.dtype == w.dtype and r.tobytes() == w.tobytes()
+            removed.append(g.den.degree - got[1].size)
+        counts = np.bincount(removed)
+        assert counts[0] >= 50 and counts[1] >= 50 and counts[2:].sum() >= 50
+
+    def test_zero_function_and_constants(self):
+        for g in (tf([0.0], [1.0, 1.0]), tf([2.0], [3.0]), tf([1.0, 1.0], [2.0])):
+            want, got = nested_loop_pairing(g), _cancelled_roots(g)
+            assert all(r.tobytes() == w.tobytes() and r.dtype == complex for w, r in zip(want, got))
 
 
 class TestPolesZeros:

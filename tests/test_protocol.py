@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import linalg as scipy_linalg
 
-from agreelab.graph import Graph, degrees, laplacian, modal_transform
-from agreelab.lti import RationalTF, tf_feedback, tf_poles
+from agreelab.graph import Graph, degrees, laplacian, modal_transform, normalized_adjacency
+from agreelab.lti import RationalTF, tf_feedback, tf_inverse, tf_poles
 from agreelab.numerics import Polynomial, lyapunov_solve
 from agreelab.protocol import (
     AgentModel,
@@ -442,3 +442,66 @@ class TestModalFactor:
         assert build_2dof(DART, plant, TwoDofConfig(FA)).modal is None
         assert build_classic(DART, plant, ClassicConfig(gains=1.0)).modal is None
         assert build_2dof(DART, equal[:4] + [AgentModel(INTEGRATOR, PI)], TwoDofConfig(FA)).modal is None
+
+
+class TestAssemblyOracle:
+    """Both channels of an assembled loop against the agent-level closed
+    forms, on a seeded network of unequal agents."""
+
+    POINTS = 1j * np.array([0.1, 0.5, 1.3, 4.0, 20.0])
+    PLANT2 = RationalTF([3.0, 1.0], [2.0, 2.0, 1.0])  # (s + 3)/(s^2 + 2 s + 2)
+    LAG1 = RationalTF([2.0], [2.0, 1.0])  # as Fa, the 2DOF feedforwards feed through
+
+    @staticmethod
+    def diag(tfs, s):
+        return np.diag([t(s) for t in tfs])
+
+    def assert_matches(self, loop, want):
+        for s in self.POINTS:
+            built, expected = loop.dynamics.eval(s), want(s)
+            assert np.max(np.abs(built - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert np.allclose(loop.dynamics.C @ loop.x0_map, np.eye(loop.nagents), rtol=0.0, atol=1e-14)
+
+    def test_twodof(self):
+        g = seeded_graph(8, 6, 3)
+        fds = [FD0, PI, RationalTF.constant(-3.0)] * 3
+        agents = [AgentModel(INTEGRATOR, fd) for fd in fds[:7]] + [AgentModel(self.PLANT2, PI)]
+        loop = build_2dof(g, agents, TwoDofConfig(self.LAG1))
+        tds = [tf_feedback(a.plant, a.local_controller)[1] for a in agents]
+        adjn = normalized_adjacency(g)
+
+        def want(s):
+            fa = self.LAG1(s)
+            return np.linalg.solve(np.eye(8) - fa * adjn, np.hstack([self.diag(tds, s), fa * np.eye(8)]))
+
+        self.assert_matches(loop, want)
+        for a in agents:  # both banks feed through
+            kff = (tf_inverse(a.plant) - a.local_controller) * self.LAG1
+            assert not a.local_controller.is_strictly_proper and not kff.is_strictly_proper
+
+    def test_classic(self):
+        g = seeded_graph(8, 6, 4)
+        plants = [INTEGRATOR, RationalTF([1.0], [1.0, 1.0]), self.PLANT2, INTEGRATOR] * 2
+        gains = np.linspace(0.6, 2.4, 8)
+        F = self.LAG1
+        loop = build_classic(g, [AgentModel(p) for p in plants], ClassicConfig(gains=gains, shared_filter=F))
+        kd = np.diag(gains * degrees(g))
+        my = normalized_adjacency(g) - np.eye(8)
+
+        def want(s):
+            P, kdf = self.diag(plants, s), kd * F(s)
+            return np.linalg.solve(np.eye(8) - P @ kdf @ my, P @ np.hstack([np.eye(8), kdf]))
+
+        self.assert_matches(loop, want)
+
+    def test_algebraic_loop_rejected(self):
+        # y = -0.5 (u + d) at high frequency and u = y_2 - y_1: I - D_p D_c is singular
+        plant = RationalTF([1.0, -0.5], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^algebraic loop"):
+            build_classic(Graph(2, [(1, 2)]), [AgentModel(plant)] * 2, ClassicConfig(gains=1.0))
+
+    def test_static_plant_rejected(self):
+        agents = integrator_agents(4) + [AgentModel(RationalTF.constant(2.0))]
+        cfg = ClassicConfig(gains=1.0, shared_filter=RationalTF([1.0], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="^cannot set an initial output level on a static plant$"):
+            build_classic(DART, agents, cfg)
