@@ -4,8 +4,8 @@ The integrators reduce an LTI step to an affine state update
 ``x_{k+1} = phi x_k + g_k``.  ``sim._Jumps`` jumps over most steps of
 every noisy run and of every noise-free one that is not integrated
 mode by mode, and calls this kernel only for what it cannot jump: the
-forced response of each input level, the sub-blocks an onset splits,
-the horizon's last partial one and, per path, the sub-blocks near the
+forced response of each input level, the last fewer than eight nodes of
+each stretch of constant inputs and, per path, the sub-blocks near the
 divergence limit.  The caller fills the drive
 ``g_k`` (input and noise terms) of every path stepped together, and the
 kernel adds ``phi x_k`` in place with one stacked ``matmul`` per step,

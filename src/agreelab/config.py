@@ -73,6 +73,8 @@ def _parse_tf(obj: Any, path: str) -> RationalTF:
 def _parse_graph(obj: Any, path: str, base_dir: Path) -> Graph:
     if isinstance(obj, dict) and "file" in obj:
         _require_keys(obj, path, {"file"})
+        if not isinstance(obj["file"], str):
+            raise ConfigError(f"{path}.file", "expected a path string")
         target = Path(obj["file"])
         if not target.is_absolute():
             target = base_dir / target

@@ -243,11 +243,6 @@ def _same(tfs: Sequence[RationalTF]) -> bool:
     )
 
 
-def _laplacian_modes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of L."""
-    return np.linalg.eigh(laplacian(g))
-
-
 def _validate_network(g: Graph, agents: Sequence[AgentModel]) -> np.ndarray:
     if not is_connected(g):
         raise ValueError("protocol requires a connected graph")
@@ -288,7 +283,7 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     sys, x0_map = _assemble(plants, [(bank, My, Mn)])
     modal = None
     if np.all(k == k[0]) and _same([a.plant for a in agents]):
-        v = _laplacian_modes(g)[1]
+        v = np.linalg.eigh(laplacian(g))[1]
         modal = _modal_factor([(v, v.T), (v / deg[:, None], v.T * deg)], [plants[0], bank[0]])
     return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)
 
@@ -456,5 +451,5 @@ def classic_noise_disagreement_variance(
         raise ValueError("disagreement variance requires a connected graph")
     if not gain > 0.0:
         raise ValueError("consensus gain must be positive")
-    lam, v = _laplacian_modes(g)
+    lam, v = np.linalg.eigh(laplacian(g))  # ascending, orthonormal
     return gain / (2.0 * g.n) * float(np.sum(weight @ v[:, 1:] ** 2 / lam[1:]))

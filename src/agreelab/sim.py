@@ -10,8 +10,11 @@ to the affine update x <- Phi x + Gamma B u with
 which is exactly the RK4 map, so the dt^4 convergence behavior is
 preserved.
 White noise enters Euler-Maruyama style: an increment of standard
-deviation sigma*sqrt(dt) per channel per step, gated by the onset time,
-on top of the fourth-order deterministic update.
+deviation sigma*sqrt(dt) per channel per step from the onset time on,
+on top of the fourth-order deterministic update.  The inputs are held
+per stretch: between node 0, every channel's onset and the horizon,
+every step channel holds one level and every noise channel one
+standard deviation (0 before its onset).
 
 Two paths make the runs, and the loop's structure selects between them.
 `integrate` on a loop with a modal factor, the loop of a uniform network
@@ -27,10 +30,11 @@ and one increment x <- x + ((Phi^L - I) x + F_L) the start of the next
 (scaling and squaring, Moler and Van Loan, SIAM Review 2003, applied to
 the discrete map).  The noise enters linearly: a member's draws over a
 sub-block add two more products, with the Markov parameters C Phi^k bn
-for its outputs and with the Phi^k bn for its next start.  The
-sub-blocks an onset splits, the horizon's last partial one and, per
-path, any whose states cannot be bounded below DIVERGENCE_LIMIT are
-stepped.  A modal block whose states cannot be bounded makes
+for its outputs and with the Phi^k bn for its next start.  Sub-blocks
+start at the stretches' starts, so none crosses an onset; a stretch's
+last fewer than L nodes and, per path, any sub-block whose states
+cannot be bounded below DIVERGENCE_LIMIT are stepped.  A modal block
+whose states cannot be bounded makes
 `integrate` redo the run on the jump engine, so a divergence is
 reported where stepping finds it.  Both paths run the stepped discrete
 system; only the order of the floating-point operations differs, so a
@@ -44,8 +48,7 @@ A run's memory is its outputs plus, on the jump path,
 O(_CHUNK x paths x states) and the tables' O(_JUMP x states^2 + _JUMP^2
 x noise channels x outputs), and on the modal path the tables'
 O(nagents x _CHUNK x b) per input level: no input table spans the
-horizon, and the modal path forms no dense Phi.  Each
-channel's step input is kept as an onset node and an amplitude.
+horizon, and the modal path forms no dense Phi.
 """
 
 from __future__ import annotations
@@ -225,14 +228,15 @@ class _Prepared:
     """The loop, inputs and start state shared by the paths of a run;
     each path builds its integration tables from them.
 
-    Nothing here grows with the step count but `times`: each channel's
-    step input is kept as its onset node and amplitude.
+    The inputs are held per stretch: `stretches` are the [start, end)
+    node ranges between node 0, every channel's onset and nsteps + 1.
+    Over stretch v the channels hold the step levels levels[v] and the
+    noise channels draw increments of standard deviation scales[v]:
+    sqrt(intensity dt) from the channel's onset on, 0 before.  Nothing
+    here grows with the step count but `times`.
     """
 
-    __slots__ = (
-        "A", "B", "x0", "C", "Dmat", "onset", "amp", "starts", "bn", "noise_scale",
-        "noise_gate", "dt", "nsteps", "times",
-    )
+    __slots__ = ("A", "B", "x0", "C", "Dmat", "stretches", "levels", "bn", "scales", "dt", "nsteps", "times")
 
     def __init__(self, loop, d, n, y0, dt, T):
         if not isinstance(loop, ClosedLoop):
@@ -260,16 +264,13 @@ class _Prepared:
         self.x0 = loop.x0_map @ y0
         self.C = sys.C
         self.Dmat = sys.D
-        # a step channel's input is amp from node onset on; a noise
-        # channel's increments are gated by its onset node the same way
-        self.onset = np.array([_onset_index(s.onset, dt, nsteps) for s in specs], dtype=np.int64)
-        self.amp = np.array([s.amplitude if s.kind == "step" else 0.0 for s in specs])
-        # the nodes from which the inputs hold a level: 0 and the onsets
-        # of the channels that are not noise (np.unique would import numpy.ma)
-        self.starts = np.array(sorted({0, *self.onset[~white].tolist()}))
+        onset = np.array([_onset_index(s.onset, dt, nsteps) for s in specs], dtype=np.int64)
+        starts = sorted({0, *onset.tolist()})  # np.unique would import numpy.ma
+        self.stretches = list(zip(starts, starts[1:] + [nsteps + 1]))
+        on = np.array(starts)[:, None] >= onset  # (stretch, channel): the channel is on
+        self.levels = np.where(on, [s.amplitude if s.kind == "step" else 0.0 for s in specs], 0.0)
         self.bn = sys.B[:, white]
-        self.noise_scale = np.array([np.sqrt(s.intensity * dt) for s in specs if s.is_stochastic])
-        self.noise_gate = self.onset[white]
+        self.scales = np.where(on[:, white], [np.sqrt(s.intensity * dt) for s in specs if s.is_stochastic], 0.0)
         self.dt = dt
         self.nsteps = nsteps
         self.times = np.arange(nsteps + 1) * dt
@@ -277,17 +278,6 @@ class _Prepared:
     @property
     def n_noise(self) -> int:
         return self.bn.shape[1]
-
-    def levels(self, amp: np.ndarray) -> np.ndarray:
-        """The inputs held from each of the nodes `starts` on, row after
-        row, of the step amplitudes amp."""
-        return np.where(self.starts[:, None] >= self.onset, amp, 0.0)
-
-    def stretch(self, s: int) -> tuple[int, int]:
-        """The input level v in force at node s, a row of `levels`, and
-        the node at which it ends: the next start, or nsteps + 1."""
-        v = int(np.searchsorted(self.starts, s, side="right")) - 1
-        return v, int(self.starts[v + 1]) if v + 1 < self.starts.size else self.nsteps + 1
 
 
 def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
@@ -306,8 +296,9 @@ def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
 class _Jumps:
     """The simulation engine: a batch of paths, _JUMP nodes at a time.
 
-    Sub-block i is the L = _JUMP nodes from node s = i * L on.  Under an
-    input u held over it, node s + j of a path has the output
+    A sub-block is L = _JUMP nodes of one stretch of `_Prepared`, from
+    the stretch's start or the end of the sub-block before.  Under the
+    input u the stretch holds, node s + j of a path has the output
 
         y_{s+j} = C x_s + O_j x_s + c_j + sum_{i<j} C Phi^(j-1-i) bn w_{s+i}
 
@@ -324,8 +315,8 @@ class _Jumps:
     O(_CHUNK x paths x states) more.  Every product runs per path, so a
     path has the same bits whatever the other paths of its batch.
 
-    Stepped by `_kernels.affine_path` instead: the sub-blocks an onset
-    splits, the horizon's last partial one, and a path from the first
+    Stepped by `_kernels.affine_path` instead: a stretch's last fewer
+    than L nodes, up to its end, and a path from the first
     sub-block of a run on which its bound on the states,
     g |x_s| + max_j |F_j| + g sum_i sum_c |bn_c| |w_{s+i,c}| (infinity
     norms, g = max(1, |Phi|)^L, bn_c column c of bn), is not below
@@ -396,37 +387,33 @@ class _Jumps:
         rngs = []
         if nn:
             rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in members[lo:]]
-        twin = p.amp.copy()
-        twin[p.C.shape[0]:] = 0.0  # the measurement channels follow the nu disturbance channels
-        # (paths, step levels, the jump terms of each stretch between onsets)
+        twin = p.levels.copy()
+        twin[:, p.C.shape[0]:] = 0.0  # the measurement channels follow the nu disturbance channels
+        # (paths, step levels and jump terms of each stretch)
         groups = [
-            (g, amp, [self._level(u) for u in p.levels(amp)])
-            for g, amp in ((slice(0, lo), twin), (slice(lo, P), p.amp)) if g.start < g.stop
+            (g, levels, [self._level(u) for u in levels])
+            for g, levels in ((slice(0, lo), twin), (slice(lo, P), p.levels)) if g.start < g.stop
         ]
         x = np.empty((_CHUNK // L + 1, P, self.phi.shape[0]))  # sub-block starts
         x[0] = p.x0
         # x[i] as rows and as the (P, n, 1) stacks of the per-path products
         views = list(x), list(x[..., None])
         w = np.zeros((P, _CHUNK * nn))  # a path's draws, node after node; the twins' stay zero
-        scale = np.tile(p.noise_scale, _CHUNK)
-        s, last = 0, p.nsteps
-        while s <= last:
-            v, end = p.stretch(s)
-            r = min((end - s) // L, _CHUNK // L)  # whole sub-blocks under level v
-            m = r * L if r else min(L, last - s)  # steps, leaving nodes s .. s + m - 1
-            for wr, rng in zip(w[lo:], rngs):
-                rng.standard_normal(out=wr[:m * nn])
-            w[lo:, :m * nn] *= scale[:m * nn]
-            noise = w[:, :m * nn].reshape(P, m, nn)
-            for c, k_on in enumerate(p.noise_gate):
-                noise[:, :min(max(k_on - s, 0), m), c] = 0.0
-            if r:
-                y = self._jump(s, r, v, x, views, noise, groups)
-            else:
-                r = 1
-                y, x[0] = self._step(s, m, min(L, last + 1 - s), np.arange(P), x[0], noise, groups)
-            yield s, y
-            s += r * L
+        for v, (s, end) in enumerate(p.stretches):
+            scale = np.tile(p.scales[v], _CHUNK)
+            while s < end:
+                r = min((end - s) // L, _CHUNK // L)  # whole sub-blocks
+                m = r * L or min(end, p.nsteps) - s  # steps, leaving nodes s .. s + m - 1
+                for wr, rng in zip(w[lo:], rngs):
+                    rng.standard_normal(out=wr[:m * nn])
+                w[lo:, :m * nn] *= scale[:m * nn]
+                noise = w[:, :m * nn].reshape(P, m, nn)
+                if r:
+                    y = self._jump(s, r, v, x, views, noise, groups)
+                else:
+                    y, x[0] = self._step(s, m, end - s, np.arange(P), x[0], noise, v, groups)
+                yield s, y
+                s += y.shape[1]
 
     def _jump(self, s, r, v, x, views, w, groups) -> np.ndarray:
         """Outputs of every path over the r sub-blocks from node s, all
@@ -437,9 +424,9 @@ class _Jumps:
         P, nu = x.shape[1], p.C.shape[0]
         drive = np.empty((r, *x.shape[1:]))
         bound = np.empty((P, r))  # a sub-block's bound on its states, less g |x_s|
-        for g, _, levels in groups:
-            drive[:, g] = levels[v][0]
-            bound[g] = levels[v][2]
+        for g, _, terms in groups:
+            drive[:, g] = terms[v][0]
+            bound[g] = terms[v][2]
         with np.errstate(all="ignore"):
             if p.n_noise:
                 wb = w.reshape(P, r, -1)  # row i: a path's draws of sub-block i
@@ -451,8 +438,8 @@ class _Jumps:
                 rows[i + 1] += rows[i]
             y = np.matmul(x[:r].transpose(1, 0, 2), self.stack).reshape(P, r, L, nu)
             y[:, :, 1:] += y[:, :, :1]
-            for g, _, levels in groups:
-                y[g] += levels[v][1]
+            for g, _, terms in groups:
+                y[g] += terms[v][1]
             if p.n_noise:
                 y += (wb @ self.markov).reshape(P, r, L, nu)
                 bound += np.abs(wb) @ self.noise_bound
@@ -465,7 +452,7 @@ class _Jumps:
                 paths, m = np.flatnonzero(cut == i), (r - i) * L
                 try:
                     y[paths, i * L:], x[r, paths] = self._step(
-                        s + i * L, m, m, paths, x[i, paths], w[:, i * L:], groups)
+                        s + i * L, m, m, paths, x[i, paths], w[:, i * L:], v, groups)
                 except SimulationDiverged as err:
                     times.append(err.time)
             if times:
@@ -473,21 +460,20 @@ class _Jumps:
         x[0] = x[r]
         return y
 
-    def _step(self, s, m, rows, paths, x, w, groups):
-        """Steps the paths `paths` m steps from their states x at node s;
-        returns their outputs at nodes s .. s + rows - 1 and their states
-        at node s + m.  w[paths, :m] are the draws of the steps.  Raises
-        SimulationDiverged at the first node at which a state magnitude
-        reaches DIVERGENCE_LIMIT."""
+    def _step(self, s, m, rows, paths, x, w, v, groups):
+        """Steps the paths `paths` m steps from their states x at node s,
+        all under the input level of stretch v; returns their outputs at
+        nodes s .. s + rows - 1 and their states at node s + m.  w[paths,
+        :m] are the draws of the steps.  Raises SimulationDiverged at the
+        first node at which a state magnitude reaches DIVERGENCE_LIMIT."""
         p = self.prep
         path = np.empty((m + 1, paths.size, x.shape[1]))
         path[0] = x
         feed = np.empty((paths.size, rows, p.C.shape[0]))
-        for g, amp, _ in groups:
+        for g, levels, _ in groups:
             sel = (paths >= g.start) & (paths < g.stop)
-            u = np.where(np.arange(s, s + m + 1)[:, None] >= p.onset, amp, 0.0)
-            path[1:, sel] = (u[:-1] @ self.gb.T)[:, None]
-            feed[sel] = u[:rows] @ p.Dmat.T
+            path[1:, sel] = self.gb @ levels[v]
+            feed[sel] = p.Dmat @ levels[v]
         if p.n_noise:
             path[1:] += (w[paths, :m] @ p.bn.T).transpose(1, 0, 2)
         blow = _kernels.affine_path(self.phi, path, DIVERGENCE_LIMIT)
@@ -537,7 +523,7 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
     A = _mode_blocks(modal, _to_modes(modal, prep.A))
     c = _mode_blocks(modal, (modal.inverses[0] @ prep.C)[:, None])[:, 0]
     z = _to_modes(modal, prep.x0[:, None])[:, :, 0]
-    u = prep.levels(prep.amp)
+    u = prep.levels
     phi, gamma = rk4_transition(A, prep.dt)
     g = gamma @ _to_modes(modal, prep.B @ u.T)  # (mode, state, level)
     nu, b, nl = g.shape
@@ -571,18 +557,17 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
         mix = modal.transforms[0].T
         forced = forced @ mix + (u @ prep.Dmat.T)[:, None]  # y less the free response
         tnorm = max(float(np.abs(M).sum(axis=1).max()) for M in modal.transforms)
-        s, last = 0, prep.nsteps
-        while s <= last:
-            v, end = prep.stretch(s)
-            m = min(_CHUNK, end - s)
-            if not tnorm * (growth * np.abs(z).max() + fmax[v]) < DIVERGENCE_LIMIT:
-                return False
-            np.matmul((out[:, :m] @ z[:, :, None])[:, :, 0].T, mix, out=y[s:s + m])
-            y[s:s + m] += forced[v, :m]
-            if s + m <= last:
-                for i in np.flatnonzero(m >> np.arange(bits) & 1):
-                    z = (powers[i] @ z[:, :, None])[:, :, 0] + ends[i, :, :, v]
-            s += m
+        for v, (s, end) in enumerate(prep.stretches):
+            while s < end:
+                m = min(_CHUNK, end - s)
+                if not tnorm * (growth * np.abs(z).max() + fmax[v]) < DIVERGENCE_LIMIT:
+                    return False
+                np.matmul((out[:, :m] @ z[:, :, None])[:, :, 0].T, mix, out=y[s:s + m])
+                y[s:s + m] += forced[v, :m]
+                if s + m <= prep.nsteps:
+                    for i in np.flatnonzero(m >> np.arange(bits) & 1):
+                        z = (powers[i] @ z[:, :, None])[:, :, 0] + ends[i, :, :, v]
+                s += m
     return True
 
 

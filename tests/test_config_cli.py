@@ -147,6 +147,17 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith("config error: config.graph.")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize("file", [123, ["a"]], ids=["number", "list"])
+    def test_non_string_graph_file_is_config_error(self, tmp_path, capsys, command, file):
+        cfg = base_config()
+        cfg["graph"] = {"file": file}
+        args = ["--out", str(tmp_path / "run")] if command == "simulate" else []
+        assert main([command, write_config(tmp_path, cfg), *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: config.graph.file: expected a path string\n"
+        assert captured.out == ""
+
     def test_graph_from_file(self, tmp_path):
         g = Graph(3, [(1, 2), (2, 3)])
         (tmp_path / "g.graph").write_text(format_graph_text(g))
@@ -513,6 +524,14 @@ class TestDesignCommand:
         assert main(["design", write_config(tmp_path, cfg, "design.json")]) == code
         if code:
             assert capsys.readouterr().err.startswith("config error: design config.alphas[1]: ")
+
+    @pytest.mark.parametrize("file", [123, ["a"]], ids=["number", "list"])
+    def test_non_string_graph_file_is_config_error(self, tmp_path, capsys, file):
+        cfg = {"bounds": {"omega_n": [0.5, 5.0], "tau": [0.5, 10.0], "zeta": [0.5, 4.0]}, "graph": {"file": file}}
+        assert main(["design", write_config(tmp_path, cfg, "design.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: design config.graph.file: expected a path string\n"
+        assert captured.out == ""
 
     def test_graph_spectrum_bounds(self, tmp_path, capsys):
         cfg = {

@@ -85,17 +85,25 @@ def feedthrough_loop(noisy=False):
     return ClosedLoop(StateSpace(A, B, C, D), x0_map=rng.normal(size=(7, 3)), nagents=3)
 
 
+def channel_specs(loop, d, n):
+    """The specs of the disturbance channels, then the measurement channels."""
+    return [s for bank in (d, n) for s in ([bank] * loop.nagents if isinstance(bank, SignalSpec) else bank)]
+
+
+def onset_node(spec, dt, T):
+    """The node nearest the onset of `spec`, clamped to the horizon."""
+    return min(int(round(spec.onset / dt)), int(round(T / dt)))
+
+
 def step_table(loop, d, n, dt, T):
     """Step inputs at every node, disturbance channels then measurement
     channels, built from the specs: a step channel holds its amplitude
-    from the node nearest its onset on (clamped to the horizon), and row
-    k is also the input over the interval that starts at node k."""
-    nu, nsteps = loop.nagents, int(round(T / dt))
-    specs = [[s] * nu if isinstance(s, SignalSpec) else list(s) for s in (d, n)]
-    u = np.zeros((nsteps + 1, 2 * nu))
-    for c, s in enumerate(specs[0] + specs[1]):
+    from its onset node on, and row k is also the input over the
+    interval that starts at node k."""
+    u = np.zeros((int(round(T / dt)) + 1, 2 * loop.nagents))
+    for c, s in enumerate(channel_specs(loop, d, n)):
         if s.kind == "step":
-            u[min(int(round(s.onset / dt)), nsteps):, c] = s.amplitude
+            u[onset_node(s, dt, T):, c] = s.amplitude
     return u
 
 
@@ -104,7 +112,10 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization):
     engine did before it stepped members together: x <- phi x + gb u_k +
     bn w_k, one matrix-vector product and one divergence test per step,
     the inputs of every node formed by one product over the dense step
-    table; the noise stays off when seed is None."""
+    table; the noise stays off when seed is None.  The noise, too, comes
+    from the specs: a white-noise channel's draw of the step that leaves
+    node k is sqrt(intensity dt) times a standard normal from its onset
+    node on, and 0 before."""
     p = _Prepared(loop, d, n, y0, dt, T)
     phi, gamma = rk4_transition(loop.dynamics.A, dt)
     u = step_table(loop, d, n, dt, T)
@@ -112,12 +123,14 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization):
     out[0] = p.x0
     np.matmul(u[:-1], (gamma @ loop.dynamics.B).T, out=out[1:])
     if seed is not None:
+        specs = channel_specs(loop, d, n)
+        white = [c for c, s in enumerate(specs) if s.is_stochastic]
         rng = np.random.Generator(np.random.Philox(member_seed(seed, realization)))
-        w = rng.standard_normal((p.nsteps, p.n_noise))
-        w *= p.noise_scale[None, :]
-        for c, k_on in enumerate(p.noise_gate):
-            w[:k_on, c] = 0.0
-        out[1:] += w @ p.bn.T
+        w = rng.standard_normal((p.nsteps, len(white)))
+        for i, c in enumerate(white):
+            w[:, i] *= np.sqrt(specs[c].intensity * dt)
+            w[:onset_node(specs[c], dt, T), i] = 0.0
+        out[1:] += w @ loop.dynamics.B[:, white].T
     for k in range(1, out.shape[0]):
         x = out[k]
         x += phi @ out[k - 1]
@@ -346,12 +359,14 @@ class TestBatchedEngine:
     ORACLE_NSTEPS = 3 * _CHUNK + 5
 
     @pytest.mark.parametrize("realizations", [1, 3, 30])
-    @pytest.mark.parametrize("step_node", [0, 1, 7, 8, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1, ORACLE_NSTEPS])
+    @pytest.mark.parametrize("step_node", [0, 1, 7, 8, 9, 37, 38, _CHUNK - 1, _CHUNK, _CHUNK + 1, ORACLE_NSTEPS])
     @pytest.mark.parametrize("loop_name", list(ORACLE_LOOPS))
     def test_ensemble_matches_stepping_oracle(self, loop_name, step_node, realizations):
         # a disturbance step at step_node, noise onsets inside a sub-block
         # (node 37, 37 = 4 x 8 + 5) and, with more than one agent,
-        # measurement channels that carry a step as well as noise
+        # measurement channels that carry a step as well as noise; step
+        # node 37 puts the step on the noise onsets' node, and 38 one node
+        # after it, which leaves a one-node stretch inside nodes 32-39
         loop = self.ORACLE_LOOPS[loop_name]
         nu = loop.nagents
         d, n = self.signals(nu, 37, step_node)
@@ -439,6 +454,7 @@ class TestJumpPath:
         "node-0": lambda nsteps: 0,
         "inside": lambda nsteps: nsteps // 2 | 1,
         "boundary": lambda nsteps: _JUMP * max(1, nsteps // (2 * _JUMP)),
+        "after-measurement": lambda nsteps: _JUMP + 2,  # one node after the measurement steps
         "last-node": lambda nsteps: nsteps,
         "past-horizon": lambda nsteps: nsteps + 40,
     }
