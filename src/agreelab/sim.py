@@ -108,7 +108,8 @@ class SignalSpec:
 
     kind is one of "zero", "step" (amplitude from the onset time on) or
     "white_noise" (two-sided spectral density `intensity`, active from
-    the onset time on).
+    the onset time on), on from the grid node nearest the onset: an onset
+    past the horizon that rounds past the last node never acts.
     """
 
     kind: str
@@ -196,18 +197,20 @@ class Trajectory:
         return Trajectory(times=data[:, 0], outputs=data[:, 1:])
 
 
-def rk4_transition(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi, Gamma) of the RK4 step for constant-input LTI dynamics; a
-    stack of state matrices gives the stacks of their tables."""
-    n = A.shape[-1]
-    eye = np.eye(n)
+def rk4_transition(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Phi, Gamma, Delta) of the RK4 step for constant-input LTI
+    dynamics, Delta = Phi - I summed from the same powers of hA: forming
+    Phi and subtracting I would cancel the digits of a small hA.  A stack
+    of state matrices gives the stacks of their tables."""
+    eye = np.eye(A.shape[-1])
     hA = dt * A
     P2 = hA @ hA
     P3 = P2 @ hA
     P4 = P3 @ hA
     phi = eye + hA + P2 / 2.0 + P3 / 6.0 + P4 / 24.0
     gamma = dt * (eye + hA / 2.0 + P2 / 6.0 + P3 / 24.0)
-    return phi, gamma
+    delta = hA + P2 / 2.0 + P3 / 6.0 + P4 / 24.0
+    return phi, gamma, delta
 
 
 def _as_spec_list(spec, m: int, label: str) -> list[SignalSpec]:
@@ -217,11 +220,6 @@ def _as_spec_list(spec, m: int, label: str) -> list[SignalSpec]:
     if len(spec) != m:
         raise ValueError(f"{label} needs {m} channel specs, got {len(spec)}")
     return spec
-
-
-def _onset_index(onset: float, dt: float, nsteps: int) -> int:
-    k = int(round(onset / dt))
-    return min(max(k, 0), nsteps)
 
 
 class _Prepared:
@@ -251,6 +249,8 @@ class _Prepared:
                 raise ValueError("white noise is only supported on the noise channels")
         specs = d_specs + n_specs
         sys = loop.dynamics
+        if not np.isfinite(T / dt):
+            raise ValueError("horizon too long for the step size")
         nsteps = int(round(T / dt))
         if nsteps < 1:
             raise ValueError("horizon too short for the step size")
@@ -264,8 +264,9 @@ class _Prepared:
         self.x0 = loop.x0_map @ y0
         self.C = sys.C
         self.Dmat = sys.D
-        onset = np.array([_onset_index(s.onset, dt, nsteps) for s in specs], dtype=np.int64)
-        starts = sorted({0, *onset.tolist()})  # np.unique would import numpy.ma
+        # the node nearest each onset; nsteps + 1 for one that never acts
+        onset = np.array([round(min(s.onset / dt, nsteps + 1)) for s in specs], dtype=np.int64)
+        starts = sorted({0, *onset.tolist()} - {nsteps + 1})  # np.unique would import numpy.ma
         self.stretches = list(zip(starts, starts[1:] + [nsteps + 1]))
         on = np.array(starts)[:, None] >= onset  # (stretch, channel): the channel is on
         self.levels = np.where(on, [s.amplitude if s.kind == "step" else 0.0 for s in specs], 0.0)
@@ -278,19 +279,6 @@ class _Prepared:
     @property
     def n_noise(self) -> int:
         return self.bn.shape[1]
-
-
-def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
-    """Phi - I of the RK4 step in Horner form, hA (I + hA (I/2 + hA (I/6
-    + hA/24))): forming Phi and subtracting I would cancel the digits of
-    a small hA."""
-    n = A.shape[0]
-    hA = dt * A
-    delta = hA / 24.0
-    for c in (1.0 / 6.0, 0.5, 1.0):
-        delta.flat[::n + 1] += c
-        delta = hA @ delta
-    return delta
 
 
 class _Jumps:
@@ -327,9 +315,8 @@ class _Jumps:
     def __init__(self, prep: _Prepared):
         self.prep = prep
         C, bn, L = prep.C, prep.bn, _JUMP
-        self.phi, gamma = rk4_transition(prep.A, prep.dt)
+        self.phi, gamma, delta = rk4_transition(prep.A, prep.dt)
         self.gb = gamma @ prep.B
-        delta = _rk4_increment(prep.A, prep.dt)
         # O_{j+1} = O_j + (C + O_j) Delta; row block 0 holds C itself
         stack = np.empty((L, *C.shape))
         stack[0] = C
@@ -516,38 +503,32 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
     from z = 0, so one table of the c_k Phi_k^j (nagents x _CHUNK x b) and,
     per level, one of the c_k f_j give the block's outputs, and
     z_{s+m} = Phi^m z_s + f_m, taken by the binary powers of m, its end.
-    No table holds more than O(nagents x _CHUNK x b) numbers per level.
-    The bound on a block's states, x = T z, is |T| (G |z_s| + max_j |f_j|)
-    (infinity norms, G = max_{j <= _CHUNK} max_k |Phi_k^j|).
+    The powers Phi^(2^i) are squares, the ends f_(2^i) doublings,
+    f_2m = Phi^m f_m + f_m, of all modes at once.  No table holds more
+    than O(nagents x _CHUNK x b) numbers per level.  Every j <= _CHUNK is
+    a sum of distinct powers of two, so the states of a block, x = T z,
+    are bounded by |T| G (|z_s| + sum_i max_k |f_(2^i),k|) (infinity
+    norms, G = prod_i max(1, max_k |Phi_k^(2^i)|)).
     """
     A = _mode_blocks(modal, _to_modes(modal, prep.A))
     c = _mode_blocks(modal, (modal.inverses[0] @ prep.C)[:, None])[:, 0]
     z = _to_modes(modal, prep.x0[:, None])[:, :, 0]
     u = prep.levels
-    phi, gamma = rk4_transition(A, prep.dt)
+    phi, gamma, _ = rk4_transition(A, prep.dt)
     g = gamma @ _to_modes(modal, prep.B @ u.T)  # (mode, state, level)
     nu, b, nl = g.shape
     bits = _CHUNK.bit_length()  # Phi^(2^i) and f_(2^i), i < bits, make any block
     powers = np.empty((bits, nu, b, b))
     ends = np.empty((bits, nu, b, nl))
-    growth, fmax = 1.0, np.zeros(nl)
-    batch = max(1, 2**15 // (_CHUNK * b * b))  # modes whose powers are held at once
+    powers[0], ends[0] = phi, g
     with np.errstate(all="ignore"):
-        for k in range(0, nu, batch):
-            ks = slice(k, k + batch)
-            nk = phi[ks].shape[0]
-            P = np.empty((nk, _CHUNK + 1, b, b))  # P[:, j] = Phi^j
-            P[:, 0] = np.eye(b)
-            P[:, 1] = phi[ks]
-            for m in 2 ** np.arange(bits - 1):  # Phi^(m+i) = Phi^i Phi^m, i = 1 .. m
-                np.matmul(P[:, 1:m + 1].reshape(nk, -1, b), P[:, m], out=P[:, m + 1:2 * m + 1].reshape(nk, -1, b))
-            f = np.zeros((nk, _CHUNK + 1, b, nl))  # f[:, j] = sum_{i<j} Phi^i g
-            np.cumsum((P[:, :_CHUNK].reshape(nk, -1, b) @ g[ks]).reshape(nk, _CHUNK, b, nl), axis=1, out=f[:, 1:])
-            fmax = np.maximum(fmax, np.abs(np.moveaxis(f, 3, 0)).reshape(nl, -1).max(axis=1))
-            powers[:, ks] = P[:, 2 ** np.arange(bits)].transpose(1, 0, 2, 3)
-            ends[:, ks] = f[:, 2 ** np.arange(bits)].transpose(1, 0, 2, 3)
-            rows = np.abs(P, out=P).reshape(-1, b) @ np.ones(b)
-            growth = np.maximum(growth, rows.max())  # NaN stays
+        for i in range(1, bits):  # Phi^2m = (Phi^m)^2, f_2m = Phi^m f_m + f_m
+            np.matmul(powers[i - 1], powers[i - 1], out=powers[i])
+            np.matmul(powers[i - 1], ends[i - 1], out=ends[i])
+            ends[i] += ends[i - 1]
+        # a NaN stays in the bound, which then fails
+        growth = np.prod(np.maximum(1.0, np.abs(powers).sum(axis=3).max(axis=(1, 2))))
+        reach = np.abs(ends).max(axis=(1, 2)).sum(axis=0)  # of each level
         out = np.empty((nu, _CHUNK, b))  # c_k Phi_k^j
         out[:, 0] = c
         for i in range(bits - 1):
@@ -560,7 +541,7 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
         for v, (s, end) in enumerate(prep.stretches):
             while s < end:
                 m = min(_CHUNK, end - s)
-                if not tnorm * (growth * np.abs(z).max() + fmax[v]) < DIVERGENCE_LIMIT:
+                if not tnorm * growth * (np.abs(z).max() + reach[v]) < DIVERGENCE_LIMIT:
                     return False
                 np.matmul((out[:, :m] @ z[:, :, None])[:, :, 0].T, mix, out=y[s:s + m])
                 y[s:s + m] += forced[v, :m]

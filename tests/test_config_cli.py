@@ -305,6 +305,30 @@ class TestSimulateCommand:
         traj = Trajectory.read_csv(out_dir / "trajectory_r000.csv")
         assert np.max(np.abs(traj.outputs)) == 0.0
 
+    def test_step_past_the_horizon_never_acts(self, tmp_path):
+        # (s + 1)/(s + 2) plants feed the disturbance through to the outputs
+        cfg = base_config("classic")
+        cfg["agents"]["plant"] = {"num": [1.0, 1.0], "den": [2.0, 1.0]}
+        written = []
+        for d in ({"kind": "zero"}, {"kind": "step", "amplitude": 1.0, "onset": 100.0}):
+            cfg["signals"]["d"] = d
+            out_dir = tmp_path / f"run{len(written)}"
+            assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out_dir)]) == 0
+            written.append((out_dir / "metrics.json").read_text())
+        assert written[0] == written[1]
+
+    def test_step_count_past_the_float_range(self, tmp_path, capsys):
+        cfg = base_config("classic")
+        cfg["sim"].update(dt=1e-300, T=1e10)
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(tmp_path / "long")]) == 1
+        assert capsys.readouterr().err == "error: horizon too long for the step size\n"
+
+    def test_onset_past_the_float_range(self, tmp_path):
+        cfg = base_config("classic")
+        cfg["sim"].update(dt=1e-10, T=1e-6)
+        cfg["signals"]["d"] = {"kind": "step", "amplitude": 1.0, "onset": 1e300}
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(tmp_path / "onset")]) == 0
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = base_config("twodof")
         cfg["protocol"]["network_filter"] = {"num": [2.0], "den": [1.0, 1.0]}

@@ -1,10 +1,12 @@
 import csv
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from agreelab import sim
 from agreelab.design import FilterParams, make_filter
 from agreelab.graph import Graph
 from agreelab.lti import RationalTF, StateSpace
@@ -65,6 +67,15 @@ def filtered_loop():
     return build_classic(DART, [AgentModel(INTEGRATOR)] * 5, ClassicConfig(gains=2.65, shared_filter=F))
 
 
+def lag_loop():
+    """The 2DOF loop of `twodof_loop` under the first-order lag network
+    filter 2/(s + 1), which makes it unstable: its states grow about
+    e-fold per second."""
+    fd = RationalTF([-16.0, -7.586], [0.4143, 1.0])
+    agents = [AgentModel(INTEGRATOR, fd) for _ in range(5)]
+    return build_2dof(DART, agents, TwoDofConfig(RationalTF([2.0], [1.0, 1.0])))
+
+
 def biproper_loop():
     """Uniform classic loop of 2-state plants that feed their inputs
     through, so that the outputs depend on the mode (c_k)."""
@@ -90,9 +101,10 @@ def channel_specs(loop, d, n):
     return [s for bank in (d, n) for s in ([bank] * loop.nagents if isinstance(bank, SignalSpec) else bank)]
 
 
-def onset_node(spec, dt, T):
-    """The node nearest the onset of `spec`, clamped to the horizon."""
-    return min(int(round(spec.onset / dt)), int(round(T / dt)))
+def onset_node(spec, dt):
+    """The node nearest the onset of `spec`; past the last node for an
+    onset that never acts, since no node is at or after it."""
+    return int(round(spec.onset / dt))
 
 
 def step_table(loop, d, n, dt, T):
@@ -103,21 +115,22 @@ def step_table(loop, d, n, dt, T):
     u = np.zeros((int(round(T / dt)) + 1, 2 * loop.nagents))
     for c, s in enumerate(channel_specs(loop, d, n)):
         if s.kind == "step":
-            u[onset_node(s, dt, T):, c] = s.amplitude
+            u[onset_node(s, dt):, c] = s.amplitude
     return u
 
 
-def reference_member(loop, d, n, y0, dt, T, seed, realization):
-    """Outputs of one member stepped alone over the whole horizon, as the
-    engine did before it stepped members together: x <- phi x + gb u_k +
-    bn w_k, one matrix-vector product and one divergence test per step,
-    the inputs of every node formed by one product over the dense step
-    table; the noise stays off when seed is None.  The noise, too, comes
+def reference_member(loop, d, n, y0, dt, T, seed, realization, states=False):
+    """Outputs (with states=True, the states) of one member stepped alone
+    over the whole horizon, as the engine did before it stepped members
+    together: x <- phi x + gb u_k + bn w_k, one matrix-vector product and
+    one divergence test per step, the inputs of every node formed by one
+    product over the dense step table; the noise stays off when seed is
+    None.  The noise, too, comes
     from the specs: a white-noise channel's draw of the step that leaves
     node k is sqrt(intensity dt) times a standard normal from its onset
     node on, and 0 before."""
     p = _Prepared(loop, d, n, y0, dt, T)
-    phi, gamma = rk4_transition(loop.dynamics.A, dt)
+    phi, gamma, _ = rk4_transition(loop.dynamics.A, dt)
     u = step_table(loop, d, n, dt, T)
     out = np.empty((p.nsteps + 1, phi.shape[0]))
     out[0] = p.x0
@@ -129,14 +142,14 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization):
         w = rng.standard_normal((p.nsteps, len(white)))
         for i, c in enumerate(white):
             w[:, i] *= np.sqrt(specs[c].intensity * dt)
-            w[:onset_node(specs[c], dt, T), i] = 0.0
+            w[:onset_node(specs[c], dt), i] = 0.0
         out[1:] += w @ loop.dynamics.B[:, white].T
     for k in range(1, out.shape[0]):
         x = out[k]
         x += phi @ out[k - 1]
         if not np.all(np.abs(x) < DIVERGENCE_LIMIT):
             raise SimulationDiverged(k * p.dt)
-    return out @ p.C.T + u @ p.Dmat.T
+    return out if states else out @ p.C.T + u @ p.Dmat.T
 
 
 def stepped(loop, d, n, y0, dt, T, seed, members):
@@ -508,6 +521,24 @@ class TestJumpPath:
             integrate(loop, d, ZERO, y0, self.DT, 60.0)
         assert got.value.time == want.value.time
 
+    @pytest.mark.parametrize("loop_name, T", [("5", 2.55), ("2-state-plant", 2.55), ("lag", 2.55), ("lag", 20.0)])
+    def test_modal_bound_is_sound(self, monkeypatch, loop_name, T):
+        # from rest under seeded steps, the limit just below the largest
+        # state the oracle reaches: a block bound below its block's states
+        # would let the modal path return.  A single block (T = 2.55) needs
+        # the forced-response term, the unstable lag loop the growth G
+        loop = lag_loop() if loop_name == "lag" else self.LOOPS[loop_name]
+        nu, dt = loop.nagents, self.DT
+        d = [SignalSpec.step(a) for a in np.random.default_rng(7).normal(size=nu)]
+        y0 = np.zeros(nu)
+        peaks = np.abs(reference_member(loop, d, ZERO, y0, dt, T, None, 0, states=True)[1:]).max(axis=1)
+        top = peaks.max()
+        assert np.count_nonzero(peaks >= top * (1 - 1e-6)) == 1  # no rounding tie at the crossing
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", top * (1 - 1e-9))
+        with pytest.raises(SimulationDiverged) as err:
+            integrate(loop, d, ZERO, y0, dt, T)
+        assert err.value.time == (np.argmax(peaks) + 1) * dt
+
     @pytest.mark.parametrize("x0", [0.3, 1e8, 2e9, np.nan])
     def test_divergence_time_matches_stepping(self, x0):
         # the sub-blocks that cannot be bounded below the limit are stepped
@@ -529,7 +560,7 @@ class TestBlockInputs:
 
     def signals(self, onset_node):
         # channel 0 of each bank steps at onset_node; the others at node
-        # 0, on a block boundary and past the horizon (clamped)
+        # 0, on a block boundary and past the horizon (never acts)
         dt = self.DT
         d = [SignalSpec.step(0.7, onset_node * dt), SignalSpec.step(-1.2, 0.0), ZERO]
         n = [SignalSpec.step(-0.4, onset_node * dt), SignalSpec.step(0.25, _CHUNK * dt),
@@ -753,10 +784,22 @@ class TestKernelBackends:
         rng = np.random.default_rng(6)
         A = rng.normal(size=(4, 4)) * 0.5
         dt = 1e-3
-        phi, gamma = rk4_transition(A, dt)
+        phi, gamma, delta = rk4_transition(A, dt)
         from scipy.linalg import expm
 
         assert np.allclose(phi, expm(A * dt), atol=1e-14)
+        assert np.max(np.abs(delta - (phi - np.eye(4)))) <= 2 * np.finfo(float).eps
+        # at dt |A| = 1e-9 Phi - I keeps ~8 digits, Delta all of them:
+        # against hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 in exact arithmetic
+        dt = 1e-9 / np.abs(A).sum(axis=1).max()
+        delta = rk4_transition(A, dt)[2]
+        hA = [[Fraction(dt) * Fraction(a) for a in row] for row in A.tolist()]
+        term = exact = hA
+        for k in (2, 3, 4):
+            term = [[sum(term[i][m] * hA[m][j] for m in range(4)) / k for j in range(4)] for i in range(4)]
+            exact = [[e + t for e, t in zip(er, tr)] for er, tr in zip(exact, term)]
+        exact = np.array(exact, dtype=float)
+        assert np.max(np.abs(delta - exact)) <= 1e-15 * np.max(np.abs(exact))
 
     def test_path_matches_reference_recurrence(self):
         # random stable 8-state loop with a step disturbance and gated
@@ -776,7 +819,7 @@ class TestKernelBackends:
         got = stepped(loop, d, n, y0, dt, T, seed, [member])[:, 0]
 
         nsteps = int(round(T / dt))
-        phi, gamma = rk4_transition(A, dt)
+        phi, gamma, _ = rk4_transition(A, dt)
         u = np.zeros((nsteps + 1, nagents))
         u[50:, 0], u[100:, 1] = 0.7, -1.2
         draws = np.random.Generator(np.random.Philox(member_seed(seed, member)))
