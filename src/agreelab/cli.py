@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, ValueError) as e:  # OSError: an output path that cannot be written
+    except (OSError, ValueError, MemoryError) as e:  # also an unwritable path, a grid too large
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

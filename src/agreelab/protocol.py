@@ -19,8 +19,10 @@ U^{-1} diag(T_i) U with the modes T_i = 1/(1 - alpha_i Fa)
 alpha_i and the agents' local loops S_i and Td_i, which
 :func:`check_agreement` and :func:`check_cancellation` test.  The loop
 of a uniform network carries the same split of its states as a
-:class:`ModalFactor` (per-mode decoupling, Fax and Murray, IEEE TAC
-2004), which the simulator integrates mode by mode.
+:class:`ModalFactor`, one agent-space similarity for all of them: U^{-1}
+for 2DOF, the Laplacian's eigenvectors V for classic (per-mode
+decoupling, Fax and Murray, IEEE TAC 2004).  The simulator integrates
+it mode by mode.
 
 The classic loop's steady-state disagreement variance has a closed form
 over the Laplacian spectrum (Bamieh, Jovanovic, Mitra and Patterson,
@@ -105,17 +107,17 @@ class TwoDofConfig:
 class ModalFactor:
     """Exact modal split of a uniform network's loop.
 
-    The loop's states form groups, the plants' and then each controller
-    bank's with states, of b_g states per agent, agent after agent.
-    Under x_g = (M_g kron I_{b_g}) z_g, z_g mode after mode, the state
-    matrix becomes block diagonal: mode k couples only the b = sum b_g
-    states z_g[k] of the groups.  The outputs mix as the plant states:
-    C x = M_0 w with w_k = c_k z_k, a row c_k of b entries per mode.
+    Every agent carries b states, the plant's and then each controller
+    bank's; ``order`` lists the loop's states agent after agent.  Under
+    x[order] = (M kron I_b) z, z mode after mode, the state matrix
+    becomes block diagonal: mode k couples only its b states z[k].  The
+    outputs mix as the states: C x = M w with w_k = c_k z_k, a row c_k of
+    b entries per mode.
     """
 
-    transforms: tuple  # M_g, agent space, one per state group
-    inverses: tuple  # M_g^{-1}
-    sizes: tuple  # b_g
+    transform: np.ndarray  # M, agent space
+    inverse: np.ndarray  # M^{-1}
+    order: np.ndarray  # the loop's states, agent-major
 
 
 @dataclass(frozen=True)
@@ -228,12 +230,12 @@ def _assemble(
     return StateSpace(X[:, :n], X[:, n:], Y[:, :n], Y[:, n:]), x0_map
 
 
-def _modal_factor(pairs, systems) -> ModalFactor:
-    """The factor of a loop whose state group g, the states of every
-    agent's copy of systems[g], is split by pairs[g] = (M_g, M_g^{-1});
-    groups without states drop out."""
-    groups = [(M, Minv, sys.nstates) for (M, Minv), sys in zip(pairs, systems) if sys.nstates]
-    return ModalFactor(*zip(*groups))
+def _modal_factor(M, Minv, systems) -> ModalFactor:
+    """The factor of a loop whose states are, group after group, every
+    agent's copy of systems[g], each group split by (M, M^{-1})."""
+    nu = M.shape[0]
+    agent = np.concatenate([np.repeat(np.arange(nu), s.nstates) for s in systems])
+    return ModalFactor(M, Minv, np.argsort(agent, kind="stable"))
 
 
 def _same(tfs: Sequence[RationalTF]) -> bool:
@@ -257,13 +259,12 @@ def _validate_network(g: Graph, agents: Sequence[AgentModel]) -> np.ndarray:
 def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) -> ClosedLoop:
     """Closed loop of the diffusive protocol.
 
-    The controller path realizes u = K D F ((Adjn - I) y + n) with the
-    per-agent aggregated noise n_i on the noise channels; for
-    integrator plants and F = 1 this is ydot = -K L y + K D n + d.
-    With one gain and one plant the loop splits over L = V Lambda V':
-    the plant states by V, the filter states by D^{-1} V.
+    The controller path realizes u = K F (-L y + D n) with the per-agent
+    aggregated noise n_i on the noise channels; for integrator plants
+    and F = 1 this is ydot = -K L y + K D n + d.  With one gain and one
+    plant every state group splits by V of L = V Lambda V'.
     """
-    adjn = _validate_network(g, agents)
+    _validate_network(g, agents)
     nu = g.n
     k = np.asarray(cfg.gains, dtype=float).reshape(-1)
     if k.size == 1:
@@ -275,16 +276,14 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     F = cfg.shared_filter
     if not F.is_proper:
         raise ValueError("shared filter must be proper")
-    deg = degrees(g)
-    bank = [tf_to_ss(F * RationalTF.constant(k[i] * deg[i])) for i in range(nu)]
+    bank = [tf_to_ss(F * RationalTF.constant(k[i])) for i in range(nu)]
     plants = [tf_to_ss(a.plant) for a in agents]
-    My = adjn - np.eye(nu)
-    Mn = np.eye(nu)
-    sys, x0_map = _assemble(plants, [(bank, My, Mn)])
+    L = laplacian(g)
+    sys, x0_map = _assemble(plants, [(bank, -L, np.diag(degrees(g)))])
     modal = None
     if np.all(k == k[0]) and _same([a.plant for a in agents]):
-        v = np.linalg.eigh(laplacian(g))[1]
-        modal = _modal_factor([(v, v.T), (v / deg[:, None], v.T * deg)], [plants[0], bank[0]])
+        v = np.linalg.eigh(L)[1]
+        modal = _modal_factor(v, v.T, [plants[0], bank[0]])
     return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)
 
 
@@ -337,7 +336,7 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
     modal = None
     if _same([a.plant for a in agents]) and _same([a.local_controller for a in agents]):
         md = modal_transform(g)
-        modal = _modal_factor([(md.Uinv, md.U)] * 3, [plants[0], fd_bank[0], kff_bank[0]])
+        modal = _modal_factor(md.Uinv, md.U, [plants[0], fd_bank[0], kff_bank[0]])
     return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)
 
 

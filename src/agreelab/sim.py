@@ -239,7 +239,7 @@ class _Prepared:
     def __init__(self, loop, d, n, y0, dt, T):
         if not isinstance(loop, ClosedLoop):
             raise TypeError("expected a ClosedLoop")
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError("dt must be positive")
         nu = loop.nagents
         d_specs = _as_spec_list(d, nu, "disturbance")
@@ -249,6 +249,8 @@ class _Prepared:
                 raise ValueError("white noise is only supported on the noise channels")
         specs = d_specs + n_specs
         sys = loop.dynamics
+        if np.isnan(T):
+            raise ValueError("horizon must be a number")
         if not np.isfinite(T / dt):
             raise ValueError("horizon too long for the step size")
         nsteps = int(round(T / dt))
@@ -471,24 +473,16 @@ class _Jumps:
 
 def _to_modes(modal: ModalFactor, X: np.ndarray) -> np.ndarray:
     """T^{-1} X of the n x m array X as (nagents, b, m): row (k, s) is
-    state s of mode k, the groups' states one after the other."""
-    nu, parts, ofs = modal.transforms[0].shape[0], [], 0
-    for Minv, b in zip(modal.inverses, modal.sizes):
-        parts.append((Minv @ X[ofs:ofs + nu * b].reshape(nu, -1)).reshape(nu, b, -1))
-        ofs += nu * b
-    return np.concatenate(parts, axis=1)
+    state s of mode k, the agents' states in `order`."""
+    nu = modal.inverse.shape[0]
+    return (modal.inverse @ X[modal.order].reshape(nu, -1)).reshape(nu, -1, X.shape[1])
 
 
 def _mode_blocks(modal: ModalFactor, Z: np.ndarray) -> np.ndarray:
     """The mode-k blocks of Z T, of the rows Z[k] of mode k of the
     (nagents, p, n) array Z, as (nagents, p, b)."""
     nu, p = Z.shape[:2]
-    parts, ofs = [], 0
-    for M, b in zip(modal.transforms, modal.sizes):
-        cols = Z[:, :, ofs:ofs + nu * b].reshape(nu, p, nu, b)
-        parts.append(np.einsum("kpit,ik->kpt", cols, M))
-        ofs += nu * b
-    return np.concatenate(parts, axis=2)
+    return np.einsum("kpit,ik->kpt", Z[:, :, modal.order].reshape(nu, p, nu, -1), modal.transform)
 
 
 def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool:
@@ -496,8 +490,9 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
     returns True; returns False at the first block whose states cannot
     be bounded below DIVERGENCE_LIMIT.
 
-    Under x = T z (`ModalFactor`) mode k is the b-state RK4 system
-    z <- Phi_k z + g_k with the output w_k = c_k z, and y = M_0 w + D u.
+    Under x[order] = (M kron I_b) z (`ModalFactor`) mode k is the b-state
+    RK4 system z <- Phi_k z + g_k with the output w_k = c_k z, and
+    y = M w + D u.
     Over a block of up to _CHUNK nodes from node s under one input level,
     w_{s+j,k} = c_k Phi_k^j z_{s,k} + c_k f_{j,k}, f_j the forced response
     from z = 0, so one table of the c_k Phi_k^j (nagents x _CHUNK x b) and,
@@ -506,12 +501,12 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
     The powers Phi^(2^i) are squares, the ends f_(2^i) doublings,
     f_2m = Phi^m f_m + f_m, of all modes at once.  No table holds more
     than O(nagents x _CHUNK x b) numbers per level.  Every j <= _CHUNK is
-    a sum of distinct powers of two, so the states of a block, x = T z,
-    are bounded by |T| G (|z_s| + sum_i max_k |f_(2^i),k|) (infinity
-    norms, G = prod_i max(1, max_k |Phi_k^(2^i)|)).
+    a sum of distinct powers of two, so the states of a block are
+    bounded by |M| G (|z_s| + sum_i max_k |f_(2^i),k|) (infinity norms,
+    G = prod_i max(1, max_k |Phi_k^(2^i)|)).
     """
     A = _mode_blocks(modal, _to_modes(modal, prep.A))
-    c = _mode_blocks(modal, (modal.inverses[0] @ prep.C)[:, None])[:, 0]
+    c = _mode_blocks(modal, (modal.inverse @ prep.C)[:, None])[:, 0]
     z = _to_modes(modal, prep.x0[:, None])[:, :, 0]
     u = prep.levels
     phi, gamma, _ = rk4_transition(A, prep.dt)
@@ -535,9 +530,9 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
             np.matmul(out[:, :1 << i], powers[i], out=out[:, 1 << i:2 << i])
         forced = np.zeros((nl, _CHUNK, nu))  # c_k f_j of each level
         np.cumsum((out[:, :-1] @ g).transpose(2, 1, 0), axis=1, out=forced[:, 1:])
-        mix = modal.transforms[0].T
+        mix = modal.transform.T
         forced = forced @ mix + (u @ prep.Dmat.T)[:, None]  # y less the free response
-        tnorm = max(float(np.abs(M).sum(axis=1).max()) for M in modal.transforms)
+        tnorm = float(np.abs(modal.transform).sum(axis=1).max())
         for v, (s, end) in enumerate(prep.stretches):
             while s < end:
                 m = min(_CHUNK, end - s)

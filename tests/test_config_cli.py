@@ -323,6 +323,14 @@ class TestSimulateCommand:
         assert main(["simulate", write_config(tmp_path, cfg), "--out", str(tmp_path / "long")]) == 1
         assert capsys.readouterr().err == "error: horizon too long for the step size\n"
 
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys):
+        # 1e15 steps: numpy refuses the 7 PiB time grid at once
+        cfg = base_config("classic")
+        cfg["sim"].update(dt=1e-12, T=1e3)
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(tmp_path / "huge")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_onset_past_the_float_range(self, tmp_path):
         cfg = base_config("classic")
         cfg["sim"].update(dt=1e-10, T=1e-6)

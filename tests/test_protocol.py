@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import linalg as scipy_linalg
 
 from agreelab.graph import Graph, degrees, laplacian, modal_transform, normalized_adjacency
 from agreelab.lti import RationalTF, tf_feedback, tf_inverse, tf_poles
@@ -68,6 +67,18 @@ class TestBuildClassic:
         loop = build_classic(DART, integrator_agents(5), ClassicConfig(gains=2.65))
         assert np.allclose(loop.dynamics.A, -2.65 * laplacian(DART))
         assert np.allclose(loop.dynamics.B[:, 5:], 2.65 * np.diag(degrees(DART)))
+
+    def test_integrators_realize_minus_k_laplacian_exactly(self):
+        # a hub joined to every other node plus the edge (2, 3): with F = 1
+        # the loop is ydot = -k L y + k D n + d to the bit
+        k, inexact = 2.65, []
+        for n in range(3, 60):
+            g = Graph(n, [(1, j) for j in range(2, n + 1)] + [(2, 3)])
+            dyn = build_classic(g, integrator_agents(n), ClassicConfig(gains=k)).dynamics
+            if not (np.array_equal(dyn.A, -k * laplacian(g))
+                    and np.array_equal(dyn.B[:, n:], k * np.diag(degrees(g)))):
+                inexact.append(n)
+        assert inexact == []
 
     def test_noiseless_reaches_initial_average(self):
         loop = build_classic(DART, integrator_agents(5), ClassicConfig(gains=2.65))
@@ -389,36 +400,40 @@ UNIFORM_LOOPS = {
 
 class TestModalFactor:
     """A uniform network's loop splits into decoupled modes under
-    x = T z, T = blockdiag_g(M_g kron I_{b_g}) (protocol.ModalFactor)."""
+    x = T z, T = P (M kron I_b), P the permutation that lists the states
+    in `order` (protocol.ModalFactor)."""
 
     @staticmethod
     def split(loop):
-        """(T^{-1} A T, M_0^{-1} C T) and each modal state's mode."""
-        f = loop.modal
-        T = scipy_linalg.block_diag(*[np.kron(M, np.eye(b)) for M, b in zip(f.transforms, f.sizes)])
-        Tinv = scipy_linalg.block_diag(*[np.kron(M, np.eye(b)) for M, b in zip(f.inverses, f.sizes)])
-        mode = np.concatenate([np.repeat(np.arange(loop.nagents), b) for b in f.sizes])
-        return Tinv @ loop.dynamics.A @ T, f.inverses[0] @ loop.dynamics.C @ T, mode
+        """(T^{-1} A T, M^{-1} C T) and each modal state's mode."""
+        f, nu = loop.modal, loop.nagents
+        b = f.order.size // nu
+        P = np.eye(f.order.size)[:, f.order]
+        T = P @ np.kron(f.transform, np.eye(b))
+        Tinv = np.kron(f.inverse, np.eye(b)) @ P.T
+        return Tinv @ loop.dynamics.A @ T, f.inverse @ loop.dynamics.C @ T, np.repeat(np.arange(nu), b)
 
     @pytest.mark.parametrize("n, seed", [(12, 0), (12, 1), (60, 2)])
     @pytest.mark.parametrize("name", list(UNIFORM_LOOPS))
     def test_off_mode_entries_vanish(self, name, n, seed):
         loop = UNIFORM_LOOPS[name](seeded_graph(n, n, seed))
         A, C, mode = self.split(loop)
-        for M, Minv in zip(loop.modal.transforms, loop.modal.inverses):
-            assert np.allclose(M @ Minv, np.eye(n), atol=1e-12)
+        assert np.allclose(loop.modal.transform @ loop.modal.inverse, np.eye(n), atol=1e-12)
         off = mode[:, None] != mode[None, :]
         assert np.max(np.abs(A[off])) <= 1e-12 * np.max(np.abs(loop.dynamics.A))
-        # the outputs mix as the plant states: row k of M_0^{-1} C T lies in mode k
+        # the outputs mix as the states: row k of M^{-1} C T lies in mode k
         off = np.arange(n)[:, None] != mode[None, :]
         assert np.max(np.abs(C[off])) <= 1e-12 * np.max(np.abs(loop.dynamics.C))
 
-    def test_group_sizes_are_the_agents_states(self):
+    def test_order_lists_each_agents_states(self):
+        # plants 2 states each (0-9), Fd 1 (10-14), feedforward 4 (15-34)
         loop = UNIFORM_LOOPS["2dof-2-state"](DART)
-        assert loop.modal.sizes == (2, 1, 4)
-        assert sum(loop.modal.sizes) * 5 == loop.dynamics.A.shape[0]
-        # a static shared filter has no states, so no group
-        assert UNIFORM_LOOPS["classic-static-1"](DART).modal.sizes == (1,)
+        order = loop.modal.order.reshape(5, 7)
+        assert order[0].tolist() == [0, 1, 10, 15, 16, 17, 18]
+        assert np.array_equal(order, order[0] + np.array([2, 2, 1, 4, 4, 4, 4]) * np.arange(5)[:, None])
+        assert loop.dynamics.A.shape[0] == 35
+        # a static shared filter adds no states
+        assert UNIFORM_LOOPS["classic-static-1"](DART).modal.order.tolist() == list(range(5))
 
     def test_dist_pi_twodof_has_no_factor(self):
         from agreelab.scenarios import load_scenario

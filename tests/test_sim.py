@@ -228,6 +228,14 @@ class TestDeterministicIntegration:
             integrate(loop, ZERO, ZERO, [1.0], 1e-3, 10.0)
         assert err.value.time == pytest.approx(np.log(1e9) / 5.0, rel=0.05)
 
+    @pytest.mark.parametrize("dt, T, message", [
+        (float("nan"), 1.0, "dt must be positive"),
+        (1e-3, float("nan"), "horizon must be a number"),
+    ])
+    def test_nan_names_its_input(self, dt, T, message):
+        with pytest.raises(ValueError, match=message):
+            integrate(scalar_loop(-1.0), ZERO, ZERO, [1.0], dt, T)
+
     def test_zero_everything_stays_zero(self):
         loop = consensus_loop()
         traj = integrate(loop, ZERO, ZERO, np.zeros(5), 1e-3, 2.0)
