@@ -29,6 +29,10 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+    def __reduce__(self):
+        return ConfigError, (self.path, self.message)
 
 
 def _require_keys(obj: dict, path: str, required: set, optional: set = frozenset()):

@@ -245,6 +245,19 @@ def _same(tfs: Sequence[RationalTF]) -> bool:
     )
 
 
+def _coefficients(tf: RationalTF) -> tuple[bytes, bytes]:
+    """The bits of a transfer's coefficients: equal keys give equal
+    results, bit for bit, of any computation on the transfer."""
+    return tf.num.coeffs.tobytes(), tf.den.coeffs.tobytes()
+
+
+def _realized(tfs: Sequence[RationalTF]) -> list[StateSpace]:
+    """tf_to_ss of each transfer, realized once per distinct transfer."""
+    keys = [_coefficients(tf) for tf in tfs]
+    done = {key: tf_to_ss(tf) for key, tf in dict(zip(keys, tfs)).items()}
+    return [done[key] for key in keys]
+
+
 def _validate_network(g: Graph, agents: Sequence[AgentModel]) -> np.ndarray:
     if not is_connected(g):
         raise ValueError("protocol requires a connected graph")
@@ -276,8 +289,8 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     F = cfg.shared_filter
     if not F.is_proper:
         raise ValueError("shared filter must be proper")
-    bank = [tf_to_ss(F * RationalTF.constant(k[i])) for i in range(nu)]
-    plants = [tf_to_ss(a.plant) for a in agents]
+    bank = _realized([F * RationalTF.constant(k[i]) for i in range(nu)])
+    plants = _realized([a.plant for a in agents])
     L = laplacian(g)
     sys, x0_map = _assemble(plants, [(bank, -L, np.diag(degrees(g)))])
     modal = None
@@ -289,28 +302,31 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
 
 def _agent_loops(agents: Sequence[AgentModel], fa: RationalTF) -> tuple[list, list]:
     """Each agent's local loop (S_i, Td_i) and feedforward
-    (P_i^{-1} - Fd_i) Fa.  Every local loop is checked before any
-    feedforward, so the first error reported names the first agent
-    whose loop fails."""
-    loops = []
+    (P_i^{-1} - Fd_i) Fa, formed once per distinct (plant, controller)
+    pair and shared by the agents of that pair.  Every local loop is
+    checked before any feedforward, so the first error reported names
+    the first agent whose loop fails."""
+    keys, loops = [], {}
     for i, a in enumerate(agents, start=1):
         if a.local_controller is None:
             raise ValueError(f"agent {i}: 2DOF protocol needs a local controller")
         if not a.local_controller.is_proper:
             raise ValueError(f"agent {i}: local controller unrealizable (improper Fd)")
-        S, Td = tf_feedback(a.plant, a.local_controller)
-        if np.max(poly_roots(S.den).real) >= -HURWITZ_MARGIN:
-            raise ValueError(f"agent {i}: local controller does not stabilize the plant")
-        loops.append((S, Td))
-    feedforwards = []
-    for i, a in enumerate(agents, start=1):
-        kff = (tf_inverse(a.plant) - a.local_controller) * fa
-        if not kff.is_proper:
-            raise ValueError(
-                f"agent {i}: consistency condition unrealizable (improper feedforward)"
-            )
-        feedforwards.append(kff)
-    return loops, feedforwards
+        keys.append(_coefficients(a.plant) + _coefficients(a.local_controller))
+        if keys[-1] not in loops:
+            S, Td = tf_feedback(a.plant, a.local_controller)
+            if np.max(poly_roots(S.den).real) >= -HURWITZ_MARGIN:
+                raise ValueError(f"agent {i}: local controller does not stabilize the plant")
+            loops[keys[-1]] = (S, Td)
+    feedforwards = {}
+    for i, (a, key) in enumerate(zip(agents, keys), start=1):
+        if key not in feedforwards:
+            feedforwards[key] = (tf_inverse(a.plant) - a.local_controller) * fa
+            if not feedforwards[key].is_proper:
+                raise ValueError(
+                    f"agent {i}: consistency condition unrealizable (improper feedforward)"
+                )
+    return [loops[k] for k in keys], [feedforwards[k] for k in keys]
 
 
 def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> ClosedLoop:
@@ -322,9 +338,9 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
     adjn = _validate_network(g, agents)
     nu = g.n
     _, feedforwards = _agent_loops(agents, cfg.network_filter)
-    fd_bank = [tf_to_ss(a.local_controller) for a in agents]
-    kff_bank = [tf_to_ss(kff) for kff in feedforwards]
-    plants = [tf_to_ss(a.plant) for a in agents]
+    fd_bank = _realized([a.local_controller for a in agents])
+    kff_bank = _realized(feedforwards)
+    plants = _realized([a.plant for a in agents])
     eye = np.eye(nu)
     sys, x0_map = _assemble(
         plants,
@@ -412,10 +428,12 @@ def check_cancellation(p: complex, loop_tfs: Sequence[RationalTF]) -> Cancellati
     p = complex(p)
     if abs(p.real) > IMAG_AXIS_TOL:
         raise ValueError("cancellation check applies to imaginary-axis poles only")
-    vanishes = []
+    vanishes, zeros = [], {}  # the zeros of each distinct transfer
     for tf in loop_tfs:
-        zeros = tf_zeros(tf)  # none for a zero transfer, which vanishes everywhere
-        near = bool(zeros.size) and float(np.min(np.abs(zeros - p))) <= IMAG_AXIS_TOL
+        key = _coefficients(tf)
+        if key not in zeros:
+            zeros[key] = tf_zeros(tf)  # none for a zero transfer, which vanishes everywhere
+        near = bool(zeros[key].size) and float(np.min(np.abs(zeros[key] - p))) <= IMAG_AXIS_TOL
         vanishes.append(tf.num.is_zero or near)
     return CancellationVerdict(pole=p, holds=all(vanishes), vanishes=vanishes)
 

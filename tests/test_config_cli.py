@@ -1,5 +1,6 @@
 import functools
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -110,6 +111,11 @@ def count_paths(monkeypatch) -> dict:
 
 
 class TestConfigParsing:
+    def test_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(ConfigError("sim.dt", "must be positive")))
+        assert type(err) is ConfigError
+        assert err.path == "sim.dt" and str(err) == "sim.dt: must be positive"
+
     def test_unknown_top_level_key(self):
         bad = base_config()
         bad["misc"] = 1

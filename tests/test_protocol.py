@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from agreelab.graph import Graph, degrees, laplacian, modal_transform, normalized_adjacency
-from agreelab.lti import RationalTF, tf_feedback, tf_inverse, tf_poles
+from agreelab import protocol
+from agreelab.lti import RationalTF, tf_feedback, tf_inverse, tf_poles, tf_zeros
 from agreelab.numerics import Polynomial, lyapunov_solve
 from agreelab.protocol import (
     AgentModel,
@@ -146,6 +147,25 @@ class TestBuild2Dof:
             with pytest.raises(ValueError, match="^agent 2: local controller does not stabilize the plant$"):
                 run(g, agents, cfg)
 
+    def test_equal_agents_share_one_local_loop(self):
+        """Each distinct (plant, controller) pair gets one local loop and
+        one feedforward, equal to the agent's own, and the first failing
+        agent of a repeated failing pair is named."""
+        agents = integrator_agents(2, FD0) + integrator_agents(3, PI)
+        analysis = modal_analysis(DART, agents, TwoDofConfig(FA))
+        for tfs in (analysis.local_sensitivities, analysis.disturbance_transfers):
+            assert tfs[0] is tfs[1] and tfs[2] is tfs[3] is tfs[4] and tfs[1] is not tfs[2]
+        for S, Td, a in zip(analysis.local_sensitivities, analysis.disturbance_transfers, agents):
+            S_own, Td_own = tf_feedback(a.plant, a.local_controller)
+            for tf, own in ((S, S_own), (Td, Td_own)):
+                assert np.array_equal(tf.num.coeffs, own.num.coeffs)
+                assert np.array_equal(tf.den.coeffs, own.den.coeffs)
+        bad = RationalTF([16.0, 7.586], [0.4143, 1.0])
+        agents = integrator_agents(2, FD0) + integrator_agents(3, bad)
+        for run in (build_2dof, modal_analysis):
+            with pytest.raises(ValueError, match="^agent 3: local controller does not stabilize the plant$"):
+                run(DART, agents, TwoDofConfig(FA))
+
     def test_missing_controller_rejected(self):
         with pytest.raises(ValueError, match="local controller"):
             build_2dof(DART, integrator_agents(5), TwoDofConfig(FA))
@@ -284,6 +304,16 @@ class TestCheckCancellation:
         assert not verdict.holds
         assert verdict.verdict == "CANCELLATION-EXCLUDED"
         assert verdict.vanishes == [True, True, True, True, False]
+
+    def test_zeros_taken_once_per_distinct_transfer(self, monkeypatch):
+        _, td_pi = tf_feedback(INTEGRATOR, PI)
+        _, td_5 = tf_feedback(INTEGRATOR, FD0)
+        calls = []
+        monkeypatch.setattr(protocol, "tf_zeros", lambda tf: calls.append(tf) or tf_zeros(tf))
+        copy = RationalTF(td_5.num, td_5.den)  # equal coefficients, another object
+        verdict = check_cancellation(0.0, [td_pi, td_5, td_pi, copy, td_pi])
+        assert verdict.vanishes == [True, False, True, False, True]
+        assert calls == [td_pi, td_5]
 
     def test_static_loop_excluded(self):
         S, _ = tf_feedback(RationalTF([1.0], [1.0, 1.0]), RationalTF.constant(-2.0))

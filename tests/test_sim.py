@@ -1,4 +1,6 @@
 import csv
+import os
+import pickle
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -227,6 +229,11 @@ class TestDeterministicIntegration:
         with pytest.raises(SimulationDiverged) as err:
             integrate(loop, ZERO, ZERO, [1.0], 1e-3, 10.0)
         assert err.value.time == pytest.approx(np.log(1e9) / 5.0, rel=0.05)
+
+    def test_divergence_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(SimulationDiverged(1.25)))
+        assert type(err) is SimulationDiverged
+        assert err.time == 1.25 and str(err) == "simulation diverged at t = 1.25 s"
 
     @pytest.mark.parametrize("dt, T, message", [
         (float("nan"), 1.0, "dt must be positive"),
@@ -776,6 +783,139 @@ class TestTrajectoryCsv:
         assert np.array_equal(back.times, [0.0, 0.5])
         assert np.array_equal(back.outputs, [[1.0, -2.0], [3.0, 4.25]])
         assert back.dt == 0.5
+
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        """Three usable CPUs whatever the host's; counts the forks and
+        records each child's wait status."""
+        record = {"forks": 0, "statuses": []}
+        fork, waitpid = os.fork, os.waitpid
+
+        def counted_fork():
+            record["forks"] += 1
+            return fork()
+
+        def recorded_waitpid(pid, options):
+            done = waitpid(pid, options)
+            record["statuses"].append(done[1])
+            return done
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        return record
+
+    def special_rows(self, rows):
+        outputs = np.resize(self.SPECIAL, (rows, 3))
+        return Trajectory(times=np.arange(rows) * 0.1, outputs=outputs)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_shares_match_csv_writer(self, tmp_path, shares, k, offset):
+        rows = k * _CSV_ROWS + offset
+        self.assert_written_as_csv_writer(tmp_path, np.resize(self.SPECIAL, (rows, 3)))
+        children = min(3, -(-rows // _CSV_ROWS)) - 1  # per write and per read
+        assert shares["forks"] == 2 * children
+        assert shares["statuses"] == [0] * (2 * children)
+
+    def test_shares_read_lf_and_trailing_blank_line(self, tmp_path, shares):
+        traj = self.special_rows(3 * _CSV_ROWS)
+        path = tmp_path / "lf.csv"
+        traj.write_csv(path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n") + b"\n")
+        back = Trajectory.read_csv(path)
+        assert np.array_equal(back.outputs, traj.outputs)
+        assert np.array_equal(np.signbit(back.outputs), np.signbit(traj.outputs))
+        assert np.array_equal(back.times, traj.times)
+        assert shares["forks"] == 4 and shares["statuses"] == [0] * 4
+
+    def spoil_last_row(self, path):
+        text = path.read_bytes()
+        path.write_bytes(text[:text.rindex(b"\r\n", 0, -2) + 2] + b"0.5,x,1,2\r\n")
+
+    def serial_error(self, path) -> str:
+        """The message of np.loadtxt on the whole body of the file."""
+        with open(path) as fh:
+            fh.readline()
+            with pytest.raises(ValueError) as err:
+                np.loadtxt(fh, delimiter=",", ndmin=2)
+        return str(err.value)
+
+    def test_bad_value_in_last_share_raises_serial_message(self, tmp_path, shares):
+        path = tmp_path / "bad.csv"
+        self.special_rows(3 * _CSV_ROWS).write_csv(path)
+        self.spoil_last_row(path)
+        expected = self.serial_error(path)
+        assert f"at row {3 * _CSV_ROWS - 1}, column 2" in expected  # counted from 0
+        with pytest.raises(ValueError) as err:
+            Trajectory.read_csv(path)
+        assert str(err.value) == expected
+        assert shares["forks"] == 4 and shares["statuses"] == [0, 0, 0, 256]  # the last child exits 1
+
+    def test_column_change_between_shares_raises_serial_message(self, tmp_path, shares, monkeypatch):
+        """Lines of one width, so the cut, at the first line end past the
+        middle of the body, leaves every row of the second share a column
+        short: each share parses alone, and only the whole body fails."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        n = 2 * _CSV_ROWS + 2
+        rows = [b"0,1,2,3\r\n"] * (n // 2 + 1) + [b"0,1,234\r\n"] * (n // 2 - 1)
+        path = tmp_path / "columns.csv"
+        path.write_bytes(b"t,y1,y2,y3\r\n" + b"".join(rows))
+        expected = self.serial_error(path)
+        assert f"changed from 4 to 3 at row {n // 2 + 2}" in expected
+        with pytest.raises(ValueError) as err:
+            Trajectory.read_csv(path)
+        assert str(err.value) == expected
+        assert shares["forks"] == 1 and shares["statuses"] == [0]
+
+    def test_failed_child_is_redone_in_process(self, tmp_path, shares, monkeypatch):
+        traj = self.special_rows(3 * _CSV_ROWS + 1)
+        ref = tmp_path / "ref.csv"
+        traj.write_csv(ref)
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: fork() or os._exit(1))
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == ref.read_bytes()
+        back = Trajectory.read_csv(path)
+        assert np.array_equal(back.outputs, traj.outputs)
+        assert np.array_equal(np.signbit(back.outputs), np.signbit(traj.outputs))
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["one-cpu", "fork-fails"])
+    def test_no_fork_gives_the_same_bytes(self, tmp_path, shares, monkeypatch, cpus):
+        """With one usable CPU nothing forks; where the fork fails the job
+        is redone in-process."""
+        traj = self.special_rows(3 * _CSV_ROWS + 1)
+        ref = tmp_path / "ref.csv"
+        traj.write_csv(ref)
+
+        def no_fork():
+            if len(cpus) == 1:
+                raise AssertionError("forked on one CPU")
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == ref.read_bytes()
+        back = Trajectory.read_csv(path)
+        assert np.array_equal(back.outputs, traj.outputs)
+
+    def test_no_child_is_left(self, tmp_path, shares):
+        traj = self.special_rows(3 * _CSV_ROWS + 1)
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        Trajectory.read_csv(path)
+        with pytest.raises(FileNotFoundError):
+            traj.write_csv(tmp_path / "missing" / "traj.csv")
+        self.spoil_last_row(path)
+        with pytest.raises(ValueError, match="could not convert"):
+            Trajectory.read_csv(path)
+        assert shares["forks"] == 6
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("body", ["t,y1\r\n", "t,y1\r\n0,1\r\n"], ids=["header-only", "one-row"])
     def test_too_few_rows_rejected_without_warning(self, tmp_path, body):
