@@ -238,16 +238,10 @@ def _modal_factor(M, Minv, systems) -> ModalFactor:
     return ModalFactor(M, Minv, np.argsort(agent, kind="stable"))
 
 
-def _same(tfs: Sequence[RationalTF]) -> bool:
-    return all(
-        np.array_equal(t.num.coeffs, tfs[0].num.coeffs) and np.array_equal(t.den.coeffs, tfs[0].den.coeffs)
-        for t in tfs[1:]
-    )
-
-
 def _coefficients(tf: RationalTF) -> tuple[bytes, bytes]:
     """The bits of a transfer's coefficients: equal keys give equal
-    results, bit for bit, of any computation on the transfer."""
+    results, bit for bit, of any computation on the transfer.  Sharing
+    and uniformity (one key for all agents) go by this key."""
     return tf.num.coeffs.tobytes(), tf.den.coeffs.tobytes()
 
 
@@ -258,7 +252,7 @@ def _realized(tfs: Sequence[RationalTF]) -> list[StateSpace]:
     return [done[key] for key in keys]
 
 
-def _validate_network(g: Graph, agents: Sequence[AgentModel]) -> np.ndarray:
+def _validate_network(g: Graph, agents: Sequence[AgentModel]) -> None:
     if not is_connected(g):
         raise ValueError("protocol requires a connected graph")
     if len(agents) != g.n:
@@ -266,7 +260,6 @@ def _validate_network(g: Graph, agents: Sequence[AgentModel]) -> np.ndarray:
     for i, a in enumerate(agents, start=1):
         if not a.plant.is_proper:
             raise ValueError(f"agent {i}: plant is improper")
-    return normalized_adjacency(g)
 
 
 def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) -> ClosedLoop:
@@ -275,7 +268,8 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     The controller path realizes u = K F (-L y + D n) with the per-agent
     aggregated noise n_i on the noise channels; for integrator plants
     and F = 1 this is ydot = -K L y + K D n + d.  With one gain and one
-    plant every state group splits by V of L = V Lambda V'.
+    plant (one `_coefficients` key) every state group splits by V of
+    L = V Lambda V'.  A lone agent is its plant with L = 0.
     """
     _validate_network(g, agents)
     nu = g.n
@@ -294,7 +288,7 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     L = laplacian(g)
     sys, x0_map = _assemble(plants, [(bank, -L, np.diag(degrees(g)))])
     modal = None
-    if np.all(k == k[0]) and _same([a.plant for a in agents]):
+    if np.all(k == k[0]) and len({_coefficients(a.plant) for a in agents}) == 1:
         v = np.linalg.eigh(L)[1]
         modal = _modal_factor(v, v.T, [plants[0], bank[0]])
     return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)
@@ -333,9 +327,10 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
     """Closed loop of the 2DOF protocol, assembled at the agent level:
     a decentralized feedback path Fd_i y_i plus a distributed path
     (P_i^{-1} - Fd_i) Fa applied to the neighbor average and noise.
-    With one plant and one controller every state group splits by U^{-1}
-    of `modal_transform`."""
-    adjn = _validate_network(g, agents)
+    With one plant and one controller (one `_coefficients` key of the
+    pair) every state group splits by U^{-1} of `modal_transform`."""
+    _validate_network(g, agents)
+    adjn = normalized_adjacency(g)
     nu = g.n
     _, feedforwards = _agent_loops(agents, cfg.network_filter)
     fd_bank = _realized([a.local_controller for a in agents])
@@ -350,7 +345,7 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
         ],
     )
     modal = None
-    if _same([a.plant for a in agents]) and _same([a.local_controller for a in agents]):
+    if len({_coefficients(a.plant) + _coefficients(a.local_controller) for a in agents}) == 1:
         md = modal_transform(g)
         modal = _modal_factor(md.Uinv, md.U, [plants[0], fd_bank[0], kff_bank[0]])
     return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)

@@ -33,7 +33,8 @@ sub-block add two more products, with the Markov parameters C Phi^k bn
 for its outputs and with the Phi^k bn for its next start.  Sub-blocks
 start at the stretches' starts, so none crosses an onset; a stretch's
 last fewer than L nodes and, per path, any sub-block whose states
-cannot be bounded below DIVERGENCE_LIMIT are stepped.  A modal block
+cannot be bounded below DIVERGENCE_LIMIT are stepped, on the jumps'
+kernel (`_kernels.affine_path`).  A modal block
 whose states cannot be bounded makes
 `integrate` redo the run on the jump engine, so a divergence is
 reported where stepping finds it.  Both paths run the stepped discrete
@@ -223,7 +224,8 @@ class Trajectory:
     def read_csv(path: str | Path) -> "Trajectory":
         """A trajectory CSV, CRLF or LF line ends, from a seekable file.
         The body is cut at line ends into one byte range per `_in_shares`
-        share, each parsed by np.loadtxt from its own handle."""
+        share, each parsed by np.loadtxt from its own handle; if one fails,
+        the ValueError names the file and the line `_bad_line` finds."""
         with Path(path).open("rb") as fh:
             if fh.readline().split(b",")[0].strip() != b"t":
                 raise ValueError("trajectory CSV must start with a 't' column")
@@ -270,12 +272,31 @@ class Trajectory:
             blob = b"".join(chunks)
             part = np.frombuffer(blob, offset=8).reshape(-1, int.from_bytes(blob[:8], "little"))
             if parts and part.shape[1] != parts[0].shape[1]:
-                raise ValueError("the column count changes")  # a redo as one share says where
+                raise ValueError("the column count changes")  # a redo as one share parses or fails whole
             parts.append(part)
 
-        _in_shares(-(-max(lines, 1) // _CSV_ROWS), rows, take)
+        try:
+            _in_shares(-(-max(lines, 1) // _CSV_ROWS), rows, take)
+        except ValueError:
+            raise ValueError(f"{path}, line {_bad_line(path)}: not a row of numbers as wide as the first") from None
         data = np.concatenate(parts)
         return Trajectory(times=data[:, 0], outputs=data[:, 1:])
+
+
+def _bad_line(path: str | Path) -> int:
+    """The first line of a trajectory CSV past its header that np.loadtxt
+    rejects on its own or whose column count is not the first row's."""
+    width = 0
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # a blank line
+        fh.readline()
+        for number, line in enumerate(fh, start=2):
+            try:
+                size = np.loadtxt([line], delimiter=",").size  # of one row, 0 for a blank line
+            except ValueError:
+                return number
+            if size and size != (width := width or size):
+                return number
 
 
 def _in_shares(blocks: int, work, take) -> None:
@@ -451,9 +472,10 @@ class _Jumps:
     O(_CHUNK x paths x states) more.  Every product runs per path, so a
     path has the same bits whatever the other paths of its batch.
 
-    Stepped by `_kernels.affine_path` instead: a stretch's last fewer
-    than L nodes, up to its end, and a path from the first
-    sub-block of a run on which its bound on the states,
+    Every chain runs on `_kernels.affine_path`: the sub-block starts with
+    `jump` = Delta_L; with `delta` = Phi - I each level's F_j, a
+    stretch's last fewer than L nodes, up to its end, and a path from the
+    first sub-block of a run on which its bound on the states,
     g |x_s| + max_j |F_j| + g sum_i sum_c |bn_c| |w_{s+i,c}| (infinity
     norms, g = max(1, |Phi|)^L, bn_c column c of bn), is not below
     DIVERGENCE_LIMIT, so a divergence is reported at the node stepping
@@ -472,9 +494,9 @@ class _Jumps:
         for j in range(1, L - 1):
             stack[j + 1] = stack[j] + (C + stack[j]) @ delta
         self.stack = stack.reshape(-1, C.shape[1]).T
+        self.delta = self.jump = delta  # Phi - I steps, Phi^L - I jumps
         for _ in range(L.bit_length() - 1):  # (Phi^m)^2 - I = 2 Delta_m + Delta_m^2
-            delta = delta @ delta + 2.0 * delta
-        self.delta = delta
+            self.jump = self.jump @ self.jump + 2.0 * self.jump
         # |x_s| growth + max_j |F_j| bounds the states of the L steps after x_s
         self.growth = max(1.0, float(np.abs(self.phi).sum(axis=1).max())) ** L
         # row block i of inject is (Phi^(L-1-i) bn)'; block (i, j) of
@@ -500,7 +522,7 @@ class _Jumps:
         p = self.prep
         forced = np.zeros((_JUMP + 1, 1, self.phi.shape[0]))
         forced[1:] = self.gb @ u
-        _kernels.affine_path(self.phi, forced, DIVERGENCE_LIMIT)
+        _kernels.affine_path(self.delta, forced)
         forced = forced[:, 0]
         c = forced[:_JUMP] @ p.C.T + p.Dmat @ u
         return forced[_JUMP], c, float(np.abs(forced).max())
@@ -531,8 +553,6 @@ class _Jumps:
         ]
         x = np.empty((_CHUNK // L + 1, P, self.phi.shape[0]))  # sub-block starts
         x[0] = p.x0
-        # x[i] as rows and as the (P, n, 1) stacks of the per-path products
-        views = list(x), list(x[..., None])
         w = np.zeros((P, _CHUNK * nn))  # a path's draws, node after node; the twins' stay zero
         for v, (s, end) in enumerate(p.stretches):
             scale = np.tile(p.scales[v], _CHUNK)
@@ -544,33 +564,28 @@ class _Jumps:
                 w[lo:, :m * nn] *= scale[:m * nn]
                 noise = w[:, :m * nn].reshape(P, m, nn)
                 if r:
-                    y = self._jump(s, r, v, x, views, noise, groups)
+                    y = self._jump(s, r, v, x, noise, groups)
                 else:
                     y, x[0] = self._step(s, m, end - s, np.arange(P), x[0], noise, v, groups)
                 yield s, y
                 s += y.shape[1]
 
-    def _jump(self, s, r, v, x, views, w, groups) -> np.ndarray:
+    def _jump(self, s, r, v, x, w, groups) -> np.ndarray:
         """Outputs of every path over the r sub-blocks from node s, all
         under the input level of stretch v, from the states x[0] and the
         draws w; leaves the states of node s + r L in x[0].  A path is
         stepped from the first sub-block whose bound fails on."""
         p, L = self.prep, _JUMP
         P, nu = x.shape[1], p.C.shape[0]
-        drive = np.empty((r, *x.shape[1:]))
         bound = np.empty((P, r))  # a sub-block's bound on its states, less g |x_s|
         for g, _, terms in groups:
-            drive[:, g] = terms[v][0]
+            x[1:r + 1, g] = terms[v][0]  # the drives of the sub-block starts
             bound[g] = terms[v][2]
         with np.errstate(all="ignore"):
             if p.n_noise:
                 wb = w.reshape(P, r, -1)  # row i: a path's draws of sub-block i
-                drive += (wb @ self.inject).transpose(1, 0, 2)
-            rows, stacks = views
-            for i in range(r):
-                np.matmul(self.delta, stacks[i], out=stacks[i + 1])
-                rows[i + 1] += drive[i]
-                rows[i + 1] += rows[i]
+                x[1:r + 1] += (wb @ self.inject).transpose(1, 0, 2)
+            _kernels.affine_path(self.jump, x[:r + 1])
             y = np.matmul(x[:r].transpose(1, 0, 2), self.stack).reshape(P, r, L, nu)
             y[:, :, 1:] += y[:, :, :1]
             for g, _, terms in groups:
@@ -611,9 +626,10 @@ class _Jumps:
             feed[sel] = p.Dmat @ levels[v]
         if p.n_noise:
             path[1:] += (w[paths, :m] @ p.bn.T).transpose(1, 0, 2)
-        blow = _kernels.affine_path(self.phi, path, DIVERGENCE_LIMIT)
-        if blow >= 0:
-            raise SimulationDiverged((s + blow) * p.dt)
+        _kernels.affine_path(self.delta, path)
+        blow = np.flatnonzero(~(np.abs(path[1:]).max(axis=(1, 2)) < DIVERGENCE_LIMIT))
+        if blow.size:
+            raise SimulationDiverged((s + 1 + blow[0]) * p.dt)
         return path[:rows].transpose(1, 0, 2) @ p.C.T + feed, path[-1]
 
 

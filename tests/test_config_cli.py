@@ -323,6 +323,27 @@ class TestSimulateCommand:
             written.append((out_dir / "metrics.json").read_text())
         assert written[0] == written[1]
 
+    def test_one_agent_classic_network_is_its_plant(self, tmp_path):
+        # L = 0: the lone integrator integrates its 0.5 step from t = 1 s
+        cfg = base_config("classic")
+        cfg["graph"] = {"n": 1, "edges": []}
+        cfg["signals"]["d"] = {"kind": "step", "amplitude": 0.5, "onset": 1.0}
+        cfg["sim"]["y0"] = [1.0]
+        out_dir = tmp_path / "one"
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out_dir)]) == 0
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["final_consensus"] == pytest.approx(5.5, rel=1e-14)
+        traj = Trajectory.read_csv(out_dir / "trajectory_r000.csv")
+        want = 1.0 + 0.5 * np.maximum(traj.times - 1.0, 0.0)
+        assert np.max(np.abs(traj.outputs[:, 0] - want)) <= 1e-13
+
+    def test_one_agent_twodof_network_is_rejected(self, tmp_path, capsys):
+        cfg = base_config("twodof")
+        cfg["graph"] = {"n": 1, "edges": []}
+        cfg["sim"]["y0"] = [1.0]
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(tmp_path / "one")]) == 1
+        assert capsys.readouterr().err == "error: normalized adjacency undefined: isolated node present\n"
+
     def test_step_count_past_the_float_range(self, tmp_path, capsys):
         cfg = base_config("classic")
         cfg["sim"].update(dt=1e-300, T=1e10)

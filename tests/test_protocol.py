@@ -476,6 +476,32 @@ class TestModalFactor:
         assert build_classic(DART, integrator_agents(5), ClassicConfig(gains=[2.65] * 4 + [1.0])).modal is None
         assert build_classic(DART, integrator_agents(5), ClassicConfig(gains=[2.65] * 5)).modal is not None
 
+    @pytest.mark.parametrize("g", [DART, Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])], ids=["dart", "ring"])
+    def test_bit_equal_agents_share_a_factor_and_realizations(self, g, monkeypatch):
+        # separate transfer objects with equal bits: one key, so one
+        # realization each of the plant, Fd and the feedforward
+        keys = []
+        realize = protocol.tf_to_ss
+        monkeypatch.setattr(protocol, "tf_to_ss", lambda tf: keys.append(protocol._coefficients(tf)) or realize(tf))
+        agents = [AgentModel(RationalTF([1.0], [0.0, 1.0]), RationalTF([-16.0, -7.586], [0.4143, 1.0]))
+                  for _ in range(g.n)]
+        assert build_2dof(g, agents, TwoDofConfig(FA)).modal is not None
+        assert len(keys) == len(set(keys)) == 3
+
+    def test_one_coefficient_bit_apart_is_not_uniform(self, monkeypatch):
+        # -1/(-s) is 1/s with -0.0 in its denominator: equal values, other
+        # bits, so its own realization and no modal factor
+        odd = RationalTF([-1.0], [0.0, -1.0])
+        assert np.array_equal(odd.den.coeffs, INTEGRATOR.den.coeffs)
+        assert odd.den.coeffs.tobytes() != INTEGRATOR.den.coeffs.tobytes()
+        keys = []
+        realize = protocol.tf_to_ss
+        monkeypatch.setattr(protocol, "tf_to_ss", lambda tf: keys.append(protocol._coefficients(tf)) or realize(tf))
+        agents = integrator_agents(4, FD0) + [AgentModel(odd, FD0)]
+        for loop in (build_2dof(DART, agents, TwoDofConfig(FA)), build_classic(DART, agents, ClassicConfig(1.0))):
+            assert loop.modal is None
+        assert keys.count(protocol._coefficients(odd)) == keys.count(protocol._coefficients(INTEGRATOR)) == 2
+
     def test_per_agent_lists(self):
         # equal agents given one by one are uniform; one different plant
         # or controller is not
