@@ -257,6 +257,13 @@ def find_graphs_by_spectrum(n: int, target: Sequence[float]) -> list[Graph]:
 # -- text format --------------------------------------------------------
 
 
+def _integer(token: str, ln: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {ln}: expected an integer, got {token!r}") from None
+
+
 def parse_graph_text(text: str) -> Graph:
     n = None
     edges = []
@@ -268,11 +275,11 @@ def parse_graph_text(text: str) -> Graph:
         if parts[0] == "n" and len(parts) == 2:
             if n is not None:
                 raise ValueError(f"line {ln}: duplicate node-count line")
-            n = int(parts[1])
+            n = _integer(parts[1], ln)
         elif parts[0] == "e" and len(parts) == 3:
             if n is None:
                 raise ValueError(f"line {ln}: edge before node count")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_integer(parts[1], ln), _integer(parts[2], ln)))
         else:
             raise ValueError(f"line {ln}: unrecognized graph line {line!r}")
     if n is None:

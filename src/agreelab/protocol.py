@@ -262,6 +262,15 @@ def _validate_network(g: Graph, agents: Sequence[AgentModel]) -> None:
             raise ValueError(f"agent {i}: plant is improper")
 
 
+def _validate_twodof_network(g: Graph, agents: Sequence[AgentModel]) -> None:
+    """`_validate_network`, and every agent has a neighbor: the
+    distributed path averages the neighbors' outputs.  A connected graph
+    leaves an agent without one only when it is alone."""
+    _validate_network(g, agents)
+    if g.n == 1:
+        raise ValueError("2DOF protocol needs every agent to have a neighbor")
+
+
 def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) -> ClosedLoop:
     """Closed loop of the diffusive protocol.
 
@@ -329,7 +338,7 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
     (P_i^{-1} - Fd_i) Fa applied to the neighbor average and noise.
     With one plant and one controller (one `_coefficients` key of the
     pair) every state group splits by U^{-1} of `modal_transform`."""
-    _validate_network(g, agents)
+    _validate_twodof_network(g, agents)
     adjn = normalized_adjacency(g)
     nu = g.n
     _, feedforwards = _agent_loops(agents, cfg.network_filter)
@@ -403,7 +412,7 @@ def check_agreement(fa: RationalTF, alphas: Sequence[float]) -> AgreementCertifi
 def modal_analysis(
     g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig
 ) -> ModalAnalysis:
-    _validate_network(g, agents)
+    _validate_twodof_network(g, agents)
     md = modal_transform(g)
     loops, _ = _agent_loops(agents, cfg.network_filter)
     return ModalAnalysis(

@@ -22,8 +22,9 @@ Two paths make the runs, and the loop's structure selects between them.
 states each, block by block (`_integrate_modes`).  Every other run, a
 noise-free one of any other loop and every noisy one, is a batch of the
 jump engine (`_Jumps`): `integrate` a batch of one path, `run_ensemble`
-a batch of its R members and its noise-free twin, the same run with
-every measurement channel at zero.  Under an input held constant the
+a batch of its R members.  The ensemble's noise-free twin, the same run
+with every measurement channel at zero, is an `integrate` run of its
+own, modal on a uniform network.  Under an input held constant the
 RK4 map is affine, so from the state at the start of each sub-block of
 L = _JUMP nodes one matrix product gives the outputs of all its nodes,
 and one increment x <- x + ((Phi^L - I) x + F_L) the start of the next
@@ -451,7 +452,7 @@ class _Prepared:
 
 
 class _Jumps:
-    """The simulation engine: a batch of paths, _JUMP nodes at a time.
+    """The simulation engine: a batch of members, _JUMP nodes at a time.
 
     A sub-block is L = _JUMP nodes of one stretch of `_Prepared`, from
     the stretch's start or the end of the sub-block before.  Under the
@@ -470,7 +471,8 @@ class _Jumps:
     C Phi^k bn, and with `inject`, the table of the Phi^k bn.  The tables
     hold O(L x states^2 + L^2 x noise channels x outputs) numbers, a run
     O(_CHUNK x paths x states) more.  Every product runs per path, so a
-    path has the same bits whatever the other paths of its batch.
+    path has the same bits whatever the other paths of its batch.  Every
+    path runs under the one table of step levels, `_Prepared.levels`.
 
     Every chain runs on `_kernels.affine_path`: the sub-block starts with
     `jump` = Delta_L; with `delta` = Phi - I each level's F_j, a
@@ -516,6 +518,7 @@ class _Jumps:
         # |Phi^k bn w| <= growth sum_c |bn_c| |w_c|: a sub-block's noise
         # bound is its draws' magnitudes times this row
         self.noise_bound = np.tile(self.growth * np.abs(bn).max(axis=0, initial=0.0), L)
+        self.terms = [self._level(u) for u in prep.levels]  # of each stretch
 
     def _level(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(F_L, c, max_j |F_j|) of the input level u."""
@@ -527,60 +530,47 @@ class _Jumps:
         c = forced[:_JUMP] @ p.C.T + p.Dmat @ u
         return forced[_JUMP], c, float(np.abs(forced).max())
 
-    def run(self, seed: int | None, members: Sequence[int | None]) -> Iterator[tuple[int, np.ndarray]]:
-        """Outputs of the paths `members` of master seed `seed`, up to
-        _CHUNK nodes at a time.  A member None is the noise-free twin: the
-        same run with every measurement channel at zero, steps as well as
-        noise; twins come first.  Without noise channels a member is the
+    def run(self, seed: int | None, members: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+        """Outputs of the members `members` of master seed `seed`, up to
+        _CHUNK nodes at a time.  Without noise channels a member is the
         run's one noise-free path.
 
-        Yields (s, y) with y[i, j] the outputs of path members[i] at node
-        s + j.  Raises SimulationDiverged at the first node at which a
-        state magnitude of any path reaches DIVERGENCE_LIMIT.
+        Yields (s, y) with y[i, j] the outputs of member members[i] at
+        node s + j.  Raises SimulationDiverged at the first node at which
+        a state magnitude of any member reaches DIVERGENCE_LIMIT.
         """
         members = list(members)
         p, L, P, nn = self.prep, _JUMP, len(members), self.prep.n_noise
-        lo = members.count(None)  # paths :lo are twins
-        rngs = []
-        if nn:
-            rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in members[lo:]]
-        twin = p.levels.copy()
-        twin[:, p.C.shape[0]:] = 0.0  # the measurement channels follow the nu disturbance channels
-        # (paths, step levels and jump terms of each stretch)
-        groups = [
-            (g, levels, [self._level(u) for u in levels])
-            for g, levels in ((slice(0, lo), twin), (slice(lo, P), p.levels)) if g.start < g.stop
-        ]
+        rngs = [np.random.Generator(np.random.Philox(member_seed(seed, r))) for r in members] if nn else []
         x = np.empty((_CHUNK // L + 1, P, self.phi.shape[0]))  # sub-block starts
         x[0] = p.x0
-        w = np.zeros((P, _CHUNK * nn))  # a path's draws, node after node; the twins' stay zero
+        w = np.empty((P, _CHUNK * nn))  # a member's draws, node after node
         for v, (s, end) in enumerate(p.stretches):
             scale = np.tile(p.scales[v], _CHUNK)
             while s < end:
                 r = min((end - s) // L, _CHUNK // L)  # whole sub-blocks
                 m = r * L or min(end, p.nsteps) - s  # steps, leaving nodes s .. s + m - 1
-                for wr, rng in zip(w[lo:], rngs):
+                for wr, rng in zip(w, rngs):
                     rng.standard_normal(out=wr[:m * nn])
-                w[lo:, :m * nn] *= scale[:m * nn]
+                w[:, :m * nn] *= scale[:m * nn]
                 noise = w[:, :m * nn].reshape(P, m, nn)
                 if r:
-                    y = self._jump(s, r, v, x, noise, groups)
+                    y = self._jump(s, r, v, x, noise)
                 else:
-                    y, x[0] = self._step(s, m, end - s, np.arange(P), x[0], noise, v, groups)
+                    y, x[0] = self._step(s, m, end - s, np.arange(P), x[0], noise, v)
                 yield s, y
                 s += y.shape[1]
 
-    def _jump(self, s, r, v, x, w, groups) -> np.ndarray:
+    def _jump(self, s, r, v, x, w) -> np.ndarray:
         """Outputs of every path over the r sub-blocks from node s, all
         under the input level of stretch v, from the states x[0] and the
         draws w; leaves the states of node s + r L in x[0].  A path is
         stepped from the first sub-block whose bound fails on."""
         p, L = self.prep, _JUMP
         P, nu = x.shape[1], p.C.shape[0]
-        bound = np.empty((P, r))  # a sub-block's bound on its states, less g |x_s|
-        for g, _, terms in groups:
-            x[1:r + 1, g] = terms[v][0]  # the drives of the sub-block starts
-            bound[g] = terms[v][2]
+        drive, c, reach = self.terms[v]
+        x[1:r + 1] = drive  # the drives of the sub-block starts
+        bound = np.full((P, r), reach)  # a sub-block's bound on its states, less g |x_s|
         with np.errstate(all="ignore"):
             if p.n_noise:
                 wb = w.reshape(P, r, -1)  # row i: a path's draws of sub-block i
@@ -588,8 +578,7 @@ class _Jumps:
             _kernels.affine_path(self.jump, x[:r + 1])
             y = np.matmul(x[:r].transpose(1, 0, 2), self.stack).reshape(P, r, L, nu)
             y[:, :, 1:] += y[:, :, :1]
-            for g, _, terms in groups:
-                y[g] += terms[v][1]
+            y += c
             if p.n_noise:
                 y += (wb @ self.markov).reshape(P, r, L, nu)
                 bound += np.abs(wb) @ self.noise_bound
@@ -601,8 +590,7 @@ class _Jumps:
             for i in sorted(set(cut[cut < r].tolist())):
                 paths, m = np.flatnonzero(cut == i), (r - i) * L
                 try:
-                    y[paths, i * L:], x[r, paths] = self._step(
-                        s + i * L, m, m, paths, x[i, paths], w[:, i * L:], v, groups)
+                    y[paths, i * L:], x[r, paths] = self._step(s + i * L, m, m, paths, x[i, paths], w[:, i * L:], v)
                 except SimulationDiverged as err:
                     times.append(err.time)
             if times:
@@ -610,7 +598,7 @@ class _Jumps:
         x[0] = x[r]
         return y
 
-    def _step(self, s, m, rows, paths, x, w, v, groups):
+    def _step(self, s, m, rows, paths, x, w, v):
         """Steps the paths `paths` m steps from their states x at node s,
         all under the input level of stretch v; returns their outputs at
         nodes s .. s + rows - 1 and their states at node s + m.  w[paths,
@@ -619,18 +607,14 @@ class _Jumps:
         p = self.prep
         path = np.empty((m + 1, paths.size, x.shape[1]))
         path[0] = x
-        feed = np.empty((paths.size, rows, p.C.shape[0]))
-        for g, levels, _ in groups:
-            sel = (paths >= g.start) & (paths < g.stop)
-            path[1:, sel] = self.gb @ levels[v]
-            feed[sel] = p.Dmat @ levels[v]
+        path[1:] = self.gb @ p.levels[v]
         if p.n_noise:
             path[1:] += (w[paths, :m] @ p.bn.T).transpose(1, 0, 2)
         _kernels.affine_path(self.delta, path)
         blow = np.flatnonzero(~(np.abs(path[1:]).max(axis=(1, 2)) < DIVERGENCE_LIMIT))
         if blow.size:
             raise SimulationDiverged((s + 1 + blow[0]) * p.dt)
-        return path[:rows].transpose(1, 0, 2) @ p.C.T + feed, path[-1]
+        return path[:rows].transpose(1, 0, 2) @ p.C.T + p.Dmat @ p.levels[v], path[-1]
 
 
 def _to_modes(modal: ModalFactor, X: np.ndarray) -> np.ndarray:
@@ -770,12 +754,14 @@ def run_ensemble(
     """Monte-Carlo ensemble of stochastic runs and their noise-free twin.
 
     Member r is driven by the stream member_seed(seed, r), so the
-    statistics do not depend on evaluation order.  The twin, the same run
-    with every measurement channel at zero, runs in one batch with the
-    members.  Each block of grid nodes gives the two-pass mean and variance over the
-    members of each node; only the whole paths of members 0..keep-1 are
-    kept.  A divergence is reported at the earliest grid time at which
-    any path, the twin's or a member's, crosses the limit.
+    statistics do not depend on evaluation order.  The members run in one
+    batch of the jump engine.  The twin, the same run with every
+    measurement channel at zero, is one `integrate` run before them; its
+    final mean output is the reference.  Each block of grid nodes gives
+    the two-pass mean and variance over the members of each node; only
+    the whole paths of members 0..keep-1 are kept.  A divergence is
+    reported at the earliest grid time at which the twin or a member
+    crosses the limit, the earlier of the two runs' SimulationDiverged.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -785,28 +771,37 @@ def run_ensemble(
     projection = np.asarray(projection, dtype=float).reshape(-1)
     if projection.size != loop.nagents:
         raise ValueError("projection length must equal the agent count")
+    times = []  # of the runs that diverge; the earliest is reported
+    try:  # before the members' arrays exist, so its outputs are never held with them
+        reference = float(np.mean(integrate(loop, d, SignalSpec.zero(), y0, dt, T).outputs[-1]))
+    except SimulationDiverged as err:
+        times.append(err.time)
     npts = prep.nsteps + 1
     mean = np.empty(npts)
     variance = np.empty(npts)
     kept = np.empty((keep, npts, loop.nagents))
-    jumps = _Jumps(prep)
-    for s, y in jumps.run(seed, [None, *range(realizations)]):
-        nodes = slice(s, s + y.shape[1])
-        kept[:, nodes] = y[1:keep + 1]
-        # z[k, r]: member r's projection at node k, summed by einsum's own
-        # loop, not BLAS, whose bits can depend on the row count; each
-        # node's members are then reduced alike whatever the node count
-        z = np.einsum("rkj,j->kr", y[1:], projection, order="C")
-        mean[nodes] = z.mean(axis=1)
-        # the divisor of one member is 1, not 0: its variance is zero
-        variance[nodes] = np.square(z - mean[nodes, None]).sum(axis=1) / max(realizations - 1, 1)
+    try:
+        for s, y in _Jumps(prep).run(seed, range(realizations)):
+            nodes = slice(s, s + y.shape[1])
+            kept[:, nodes] = y[:keep]
+            # z[k, r]: member r's projection at node k, summed by einsum's own
+            # loop, not BLAS, whose bits can depend on the row count; each
+            # node's members are then reduced alike whatever the node count
+            z = np.einsum("rkj,j->kr", y, projection, order="C")
+            mean[nodes] = z.mean(axis=1)
+            # the divisor of one member is 1, not 0: its variance is zero
+            variance[nodes] = np.square(z - mean[nodes, None]).sum(axis=1) / max(realizations - 1, 1)
+    except SimulationDiverged as err:
+        times.append(err.time)
+    if times:
+        raise SimulationDiverged(min(times))
     return EnsembleStats(
         times=prep.times,
         count=realizations,
         mean=mean,
         variance=variance,
-        finals=y[1:, -1].copy(),
-        reference=float(np.mean(y[0, -1])),
+        finals=y[:, -1].copy(),
+        reference=reference,
         paths=[Trajectory(times=prep.times, outputs=path) for path in kept],
     )
 

@@ -91,10 +91,12 @@ def oracle_divergence_time(cfg_json: str, member: int | None) -> float:
 
 def count_paths(monkeypatch) -> dict:
     """From now on: the realizations whose noise streams are opened
-    ("streams", in call order) and the member-steps the engine takes
-    ("member_steps": the grid nodes after node 0 of every path it runs)."""
-    counts = {"streams": [], "member_steps": 0}
-    seed_of, run = sim.member_seed, sim._Jumps.run
+    ("streams", in call order), the member-steps the jump engine takes
+    ("member_steps": the grid nodes after node 0 of every path it runs)
+    and the noise-free twins `run_ensemble` integrates ("twins": its
+    `integrate` calls)."""
+    counts = {"streams": [], "member_steps": 0, "twins": 0}
+    seed_of, run, integrate_twin = sim.member_seed, sim._Jumps.run, sim.integrate
 
     def counted_seed(master_seed, realization):
         counts["streams"].append(realization)
@@ -105,8 +107,13 @@ def count_paths(monkeypatch) -> dict:
             counts["member_steps"] += y.shape[0] * (y.shape[1] - (s == 0))
             yield s, y
 
+    def counted_integrate(*args):
+        counts["twins"] += 1
+        return integrate_twin(*args)
+
     monkeypatch.setattr(sim, "member_seed", counted_seed)
     monkeypatch.setattr(sim._Jumps, "run", counted_run)
+    monkeypatch.setattr(sim, "integrate", counted_integrate)
     return counts
 
 
@@ -163,6 +170,15 @@ class TestConfigParsing:
         captured = capsys.readouterr()
         assert captured.err == "config error: config.graph.file: expected a path string\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("text, line, token", [("n 3\ne 1 2\ne 2 x\n", 3, "x"), ("n 3.5\n", 1, "3.5")])
+    def test_non_integer_in_graph_file_names_its_line(self, tmp_path, capsys, text, line, token):
+        (tmp_path / "g.graph").write_text(text)
+        cfg = base_config()
+        cfg["graph"] = {"file": "g.graph"}
+        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config.graph: cannot read graph file: line {line}: expected an integer, got {token!r}\n")
 
     def test_graph_from_file(self, tmp_path):
         g = Graph(3, [(1, 2), (2, 3)])
@@ -243,6 +259,13 @@ class TestSpectrumCommand:
 
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "missing.graph")]) == 1
+
+    @pytest.mark.parametrize("text, line, token", [("n 3\ne 1 2\ne 2 x\n", 3, "x"), ("n 3.5\n", 1, "3.5")])
+    def test_non_integer_names_its_line(self, tmp_path, capsys, text, line, token):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        assert main(["spectrum", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: line {line}: expected an integer, got {token!r}\n"
 
 
 class TestCheckCommand:
@@ -338,11 +361,16 @@ class TestSimulateCommand:
         assert np.max(np.abs(traj.outputs[:, 0] - want)) <= 1e-13
 
     def test_one_agent_twodof_network_is_rejected(self, tmp_path, capsys):
+        # check and simulate give the one reason: the lone agent has no neighbor to average
         cfg = base_config("twodof")
         cfg["graph"] = {"n": 1, "edges": []}
         cfg["sim"]["y0"] = [1.0]
-        assert main(["simulate", write_config(tmp_path, cfg), "--out", str(tmp_path / "one")]) == 1
-        assert capsys.readouterr().err == "error: normalized adjacency undefined: isolated node present\n"
+        path = write_config(tmp_path, cfg)
+        for argv in (["check", path], ["simulate", path, "--out", str(tmp_path / "one")]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: 2DOF protocol needs every agent to have a neighbor\n"
+            assert captured.out == ""
 
     def test_step_count_past_the_float_range(self, tmp_path, capsys):
         cfg = base_config("classic")
@@ -455,20 +483,23 @@ class TestSimulateCommand:
         assert "drift_slope None" in capsys.readouterr().out
 
     def test_ensemble_integrates_each_path_once(self, tmp_path, monkeypatch):
-        # 30 members, member 0 among them, plus the noise-free twin
+        # 30 members, member 0 among them, on the jump engine; the uniform
+        # loop's noise-free twin is one modal `integrate` run beside them
         path = write_config(tmp_path, noisy_config(T=2.0))
         counts = count_paths(monkeypatch)
         assert main(["simulate", path, "--out", str(tmp_path / "o"), "--realizations", "30"]) == 0
         assert counts["streams"] == list(range(30))
-        assert counts["member_steps"] == 31 * 2000
+        assert counts["member_steps"] == 30 * 2000
+        assert counts["twins"] == 1
 
     def test_mid_size_ensemble_integrates_every_member(self, tmp_path, monkeypatch):
-        # between the CSV and the drift-slope sizes: still the twin and all R members
+        # between the CSV and the drift-slope sizes: still all R members and the twin
         path = write_config(tmp_path, noisy_config(T=2.0))
         counts = count_paths(monkeypatch)
         assert main(["simulate", path, "--out", str(tmp_path / "o"), "--realizations", "20"]) == 0
         assert counts["streams"] == list(range(20))
-        assert counts["member_steps"] == 21 * 2000
+        assert counts["member_steps"] == 20 * 2000
+        assert counts["twins"] == 1
 
     def test_trajectory_files_are_ensemble_members(self, tmp_path):
         cfg = noisy_config(T=2.0)
@@ -657,7 +688,9 @@ class TestReproduceCommand:
         run_scenario("noise", tmp_path / "noise", realizations=1)
         assert counts["streams"] == [0, 0]
         cfg = load_scenario("noise")["classic"]
-        assert counts["member_steps"] == 4 * round(cfg.horizon / cfg.dt)
+        # member 0 of each protocol on the jump engine, each twin modal
+        assert counts["member_steps"] == 2 * round(cfg.horizon / cfg.dt)
+        assert counts["twins"] == 2
 
     def test_noise_sample_csv_is_member_zero(self, tmp_path):
         out_dir = tmp_path / "noise"

@@ -483,6 +483,10 @@ class TestGraphText:
             parse_graph_text("e 1 2\n")
         with pytest.raises(ValueError, match="unrecognized"):
             parse_graph_text("n 2\nx 1 2\n")
+        with pytest.raises(ValueError, match="^line 3: expected an integer, got 'x'$"):
+            parse_graph_text("n 3\ne 1 2\ne 2 x\n")
+        with pytest.raises(ValueError, match="^line 1: expected an integer, got '3.5'$"):
+            parse_graph_text("n 3.5\n")
 
     @given(st.integers(2, 6), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)

@@ -156,12 +156,18 @@ def reference_member(loop, d, n, y0, dt, T, seed, realization, states=False):
 
 def stepped(loop, d, n, y0, dt, T, seed, members):
     """Outputs (node, member, agent) of `members` of master seed `seed`
-    run together by the engine; a member None is the noise-free twin."""
+    run together by the engine."""
     p = _Prepared(loop, d, n, y0, dt, T)
     y = np.empty((p.nsteps + 1, len(members), loop.nagents))
     for s, block in _Jumps(p).run(seed, members):
         y[s:s + block.shape[1]] = block.transpose(1, 0, 2)
     return y
+
+
+def integrated_reference(loop, d, y0, dt, T) -> float:
+    """The final mean output of `integrate` with every measurement channel
+    at zero: the reference consensus of an ensemble, bit for bit."""
+    return float(np.mean(integrate(loop, d, ZERO, y0, dt, T).outputs[-1]))
 
 
 def reference_ensemble(loop, d, n, y0, dt, T, seed, realizations, projection):
@@ -357,8 +363,7 @@ class TestBatchedEngine:
         assert len(stats.paths) == realizations
         for got, want in zip(stats.paths, paths):
             assert np.array_equal(got.outputs, want)
-        twin = stepped(loop, d, n, y0, self.DT, T, 5, [None])[:, 0]
-        assert stats.reference == float(np.mean(twin[-1]))
+        assert stats.reference == integrated_reference(loop, d, y0, self.DT, T)
         self.assert_near_oracle(stats, loop, d, n, y0, T, realizations, projection)
 
     def assert_near_oracle(self, stats, loop, d, n, y0, T, realizations, projection):
@@ -419,8 +424,8 @@ class TestBatchedEngine:
         loop = self.LOOPS[5]
         d, n = self.signals(5, 37)
         T = (2 * _CHUNK + 3) * self.DT
-        together = stepped(loop, d, n, np.ones(5), self.DT, T, 8, [None, 4, 0, 2])
-        for i, r in enumerate([None, 4, 0, 2]):
+        together = stepped(loop, d, n, np.ones(5), self.DT, T, 8, [4, 0, 2])
+        for i, r in enumerate([4, 0, 2]):
             alone = stepped(loop, d, n, np.ones(5), self.DT, T, 8, [r])
             assert np.array_equal(together[:, i], alone[:, 0])
 
@@ -587,11 +592,14 @@ class TestBlockInputs:
         loop = feedthrough_loop()
         d, n = self.signals(onset_node)
         y0, T = np.array([1.0, -0.5, 0.25]), self.NSTEPS * self.DT
-        twin, member = stepped(loop, d, n, y0, self.DT, T, None, [None, 0]).transpose(1, 0, 2)
-        for got, want in ((twin, reference_member(loop, d, [ZERO] * 3, y0, self.DT, T, None, 0)),
-                          (member, reference_member(loop, d, n, y0, self.DT, T, None, 0))):
-            assert np.max(np.abs(got - want)) <= JUMP_RTOL * np.max(np.abs(want))
-        assert not np.array_equal(twin[-1], member[-1])
+        stats = run_ensemble(loop, d, n, y0, self.DT, T, seed=0, realizations=1, projection=np.ones(3))
+        member = stats.paths[0].outputs
+        want = reference_member(loop, d, n, y0, self.DT, T, None, 0)
+        assert np.max(np.abs(member - want)) <= JUMP_RTOL * np.max(np.abs(want))
+        twin = reference_member(loop, d, [ZERO] * 3, y0, self.DT, T, None, 0)
+        assert stats.reference == integrated_reference(loop, d, y0, self.DT, T)
+        assert abs(stats.reference - float(np.mean(twin[-1]))) <= JUMP_RTOL * np.max(np.abs(twin))
+        assert stats.reference != float(np.mean(member[-1]))
 
 
 class TestMemory:
@@ -652,8 +660,8 @@ class TestMemory:
 
 
     def test_run_ensemble_peak_360_states(self):
-        # 31 members and the twin: one block of the batch holds
-        # _CHUNK x 32 x 360 numbers, the tables O(_JUMP x 360^2)
+        # 31 members: one block of the batch holds _CHUNK x 31 x 360
+        # numbers, the tables O(_JUMP x 360^2); the twin's modal run ends first
         loop = self.ring_loop()
         d = [SignalSpec.step(0.5, onset=10.0)] + [ZERO] * 59
         n = [SignalSpec.white_noise(0.01, onset=1.0)] * 60
@@ -662,7 +670,7 @@ class TestMemory:
             projection=np.full(60, 1 / 60), keep=1,
         ), T=2.0)
         kept = stats.times.nbytes + stats.mean.nbytes + stats.variance.nbytes + stats.paths[0].outputs.nbytes
-        assert peak < kept + 8 * (_CHUNK * 32 * 360 + _JUMP * 360**2) + self.SLACK
+        assert peak < kept + 8 * (_CHUNK * 31 * 360 + _JUMP * 360**2) + self.SLACK
 
 
 class TestMetrics:
