@@ -119,6 +119,18 @@ class ModalFactor:
     inverse: np.ndarray  # M^{-1}
     order: np.ndarray  # the loop's states, agent-major
 
+    def to_modes(self, X: np.ndarray) -> np.ndarray:
+        """T^{-1} X of the n x m array X as (nagents, b, m): row (k, s) is
+        state s of mode k, the agents' states in `order`."""
+        nu = self.inverse.shape[0]
+        return (self.inverse @ X[self.order].reshape(nu, -1)).reshape(nu, -1, X.shape[1])
+
+    def mode_blocks(self, Z: np.ndarray) -> np.ndarray:
+        """The mode-k blocks of Z T, of the rows Z[k] of mode k of the
+        (nagents, p, n) array Z, as (nagents, p, b)."""
+        nu, p = Z.shape[:2]
+        return np.einsum("kpit,ik->kpt", Z[:, :, self.order].reshape(nu, p, nu, -1), self.transform)
+
 
 @dataclass(frozen=True)
 class ClosedLoop:
@@ -191,17 +203,21 @@ class CancellationVerdict:
 def _assemble(
     plants: Sequence[StateSpace],
     banks: Sequence[tuple[Sequence[StateSpace], np.ndarray, np.ndarray]],
-) -> tuple[StateSpace, np.ndarray]:
+    similarity: tuple[np.ndarray, np.ndarray] | None = None,
+) -> ClosedLoop:
     """Close u = sum_b bank_b(My_b y + Mn_b n) around y = P (u + d).
 
     The banks form one block-diagonal controller with the input
     My y + Mn n, My and Mn the banks' couplings stacked, whose outputs
-    [I I ...] sums into u.  Returns the aggregate (A, [Bd Bn], C,
-    [Dd Dn]) system and the y0-injection map.
+    [I I ...] sums into u.  Returns the loop of the aggregate (A,
+    [Bd Bn], C, [Dd Dn]) system and its y0-injection map.  The states
+    are the plants' and then each bank's, agent after agent; given the
+    similarity (M, M^{-1}) of a uniform network, the loop's modal
+    factor lists them agent-major.
     """
     nu = len(plants)
-    plant = ss_block_diag(plants)
-    ctrl = ss_block_diag([s for bank, _, _ in banks for s in bank])
+    ctrls = [s for bank, _, _ in banks for s in bank]
+    plant, ctrl = ss_block_diag(plants), ss_block_diag(ctrls)
     k, n = plant.nstates, plant.nstates + ctrl.nstates  # plant states, all states
     My = np.vstack([m for _, m, _ in banks])
     Mn = np.vstack([m for _, _, m in banks])
@@ -227,15 +243,9 @@ def _assemble(
     if np.any(nrm2 == 0.0):
         raise ValueError("cannot set an initial output level on a static plant")
     x0_map = np.vstack([plant.C.T / nrm2, np.zeros((ctrl.nstates, nu))])
-    return StateSpace(X[:, :n], X[:, n:], Y[:, :n], Y[:, n:]), x0_map
-
-
-def _modal_factor(M, Minv, systems) -> ModalFactor:
-    """The factor of a loop whose states are, group after group, every
-    agent's copy of systems[g], each group split by (M, M^{-1})."""
-    nu = M.shape[0]
-    agent = np.concatenate([np.repeat(np.arange(nu), s.nstates) for s in systems])
-    return ModalFactor(M, Minv, np.argsort(agent, kind="stable"))
+    agent = np.tile(np.arange(nu), 1 + len(banks)).repeat([s.nstates for s in [*plants, *ctrls]])
+    modal = None if similarity is None else ModalFactor(*similarity, np.argsort(agent, kind="stable"))
+    return ClosedLoop(StateSpace(X[:, :n], X[:, n:], Y[:, :n], Y[:, n:]), x0_map, nu, modal)
 
 
 def _coefficients(tf: RationalTF) -> tuple[bytes, bytes]:
@@ -295,12 +305,11 @@ def build_classic(g: Graph, agents: Sequence[AgentModel], cfg: ClassicConfig) ->
     bank = _realized([F * RationalTF.constant(k[i]) for i in range(nu)])
     plants = _realized([a.plant for a in agents])
     L = laplacian(g)
-    sys, x0_map = _assemble(plants, [(bank, -L, np.diag(degrees(g)))])
-    modal = None
+    similarity = None
     if np.all(k == k[0]) and len({_coefficients(a.plant) for a in agents}) == 1:
         v = np.linalg.eigh(L)[1]
-        modal = _modal_factor(v, v.T, [plants[0], bank[0]])
-    return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)
+        similarity = v, v.T
+    return _assemble(plants, [(bank, -L, np.diag(degrees(g)))], similarity)
 
 
 def _agent_loops(agents: Sequence[AgentModel], fa: RationalTF) -> tuple[list, list]:
@@ -345,19 +354,12 @@ def build_2dof(g: Graph, agents: Sequence[AgentModel], cfg: TwoDofConfig) -> Clo
     fd_bank = _realized([a.local_controller for a in agents])
     kff_bank = _realized(feedforwards)
     plants = _realized([a.plant for a in agents])
-    eye = np.eye(nu)
-    sys, x0_map = _assemble(
-        plants,
-        [
-            (fd_bank, eye, np.zeros((nu, nu))),
-            (kff_bank, adjn, eye),
-        ],
-    )
-    modal = None
+    similarity = None
     if len({_coefficients(a.plant) + _coefficients(a.local_controller) for a in agents}) == 1:
         md = modal_transform(g)
-        modal = _modal_factor(md.Uinv, md.U, [plants[0], fd_bank[0], kff_bank[0]])
-    return ClosedLoop(dynamics=sys, x0_map=x0_map, nagents=nu, modal=modal)
+        similarity = md.Uinv, md.U
+    eye = np.eye(nu)
+    return _assemble(plants, [(fd_bank, eye, np.zeros((nu, nu))), (kff_bank, adjn, eye)], similarity)
 
 
 # -- modal analysis and certificates ------------------------------------

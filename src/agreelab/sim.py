@@ -58,10 +58,11 @@ block of _CSV_ROWS rows; the calling process handles the first share
 and a forked child each later one, whose bytes come back through a
 pipe.  The files and the arrays read back are those of a serial run,
 byte for byte and bit for bit.  With one usable CPU, one block or no
-os.fork the same code runs with no child.  On a 2-CPU host a 60,001-row
-trajectory of five agents is written in 0.16 s and read in 0.12 s,
-against 0.24 s and 0.16 s in one process (medians of six processes of
-ten calls each).
+os.fork the same code runs with no child.  Each share is parsed
+_CSV_ROWS lines at a time, and only a block that fails is parsed again,
+line by line: a bad file raises a ValueError naming its first bad line,
+after the share pass and a one-share redo that stops at the first bad
+block.  BENCH_parallel_csv.json has the timings against one process.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ import gc
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -138,8 +140,10 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "step", "white_noise"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
-        if self.onset < 0:
+        if not self.onset >= 0:  # NaN too; an infinite onset never acts
             raise ValueError("onset must be nonnegative")
+        if not (np.isfinite(self.amplitude) and np.isfinite(self.intensity)):
+            raise ValueError("amplitude and intensity must be finite")
         if self.kind == "white_noise" and self.intensity < 0:
             raise ValueError("noise intensity must be nonnegative")
 
@@ -225,10 +229,15 @@ class Trajectory:
     def read_csv(path: str | Path) -> "Trajectory":
         """A trajectory CSV, CRLF or LF line ends, from a seekable file.
         The body is cut at line ends into one byte range per `_in_shares`
-        share, each parsed by np.loadtxt from its own handle; if one fails,
-        the ValueError names the file and the line `_bad_line` finds."""
+        share, each parsed by np.loadtxt from its own handle _CSV_ROWS
+        lines at a time.  A block that fails, or whose rows are not as
+        wide as the share's first, is scanned line by line, and the
+        ValueError names the file and the first bad line, counted from
+        the header: exact in share 0, which the redo of a failed job is.
+        Rows as wide as each other but not as the header raise too."""
         with Path(path).open("rb") as fh:
-            if fh.readline().split(b",")[0].strip() != b"t":
+            header = fh.readline().split(b",")
+            if header[0].strip() != b"t":
                 raise ValueError("trajectory CSV must start with a 't' column")
             start = fh.tell()
             # lines are counted only as far as the share count can grow
@@ -255,15 +264,35 @@ class Trajectory:
                 n -= len(chunk)
                 yield from chunk.splitlines(keepends=True)
 
+        def parse(lines):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
+                return np.loadtxt(lines, delimiter=",", ndmin=2)
+
         def rows(j, count):
+            """The bytes of share j's rows, block by block, then their
+            width: the header's if the share holds no row."""
+            width, number = 0, 2  # line 1 is the header
             with open(path, "rb") as fh:
                 lo, hi = cut(fh, j, count), cut(fh, j + 1, count)
                 fh.seek(lo)
-                with warnings.catch_warnings():  # a header-only file fails below
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt(body(fh, hi - lo), delimiter=",", ndmin=2)
-            yield data.shape[1].to_bytes(8, "little")
-            yield data.tobytes()
+                lines = body(fh, hi - lo)
+                while block := list(islice(lines, _CSV_ROWS)):
+                    try:
+                        data = parse(block)
+                    except ValueError:
+                        data = None
+                    if data is None or data.size and data.shape[1] != (width := width or data.shape[1]):
+                        for k, line in enumerate(block):
+                            try:
+                                size = parse([line]).size  # 0 for a blank line
+                                if size and size != (width := width or size):
+                                    raise ValueError
+                            except ValueError:
+                                raise ValueError(f"{path}, line {number + k}: not a row of numbers as wide as the first") from None
+                    yield data.tobytes()
+                    number += len(block)
+            yield (width or len(header)).to_bytes(8, "little")
 
         parts = []
 
@@ -271,33 +300,15 @@ class Trajectory:
             if j == 0:  # a redo starts over
                 parts.clear()
             blob = b"".join(chunks)
-            part = np.frombuffer(blob, offset=8).reshape(-1, int.from_bytes(blob[:8], "little"))
-            if parts and part.shape[1] != parts[0].shape[1]:
-                raise ValueError("the column count changes")  # a redo as one share parses or fails whole
+            part = np.frombuffer(blob, count=len(blob) // 8 - 1).reshape(-1, int.from_bytes(blob[-8:], "little"))
+            # where the shares' widths differ one fails here, and the one-share redo names the line
+            if part.size and part.shape[1] != len(header):
+                raise ValueError(f"{path}: rows of {part.shape[1]} values under a header of {len(header)} fields")
             parts.append(part)
 
-        try:
-            _in_shares(-(-max(lines, 1) // _CSV_ROWS), rows, take)
-        except ValueError:
-            raise ValueError(f"{path}, line {_bad_line(path)}: not a row of numbers as wide as the first") from None
+        _in_shares(-(-max(lines, 1) // _CSV_ROWS), rows, take)
         data = np.concatenate(parts)
         return Trajectory(times=data[:, 0], outputs=data[:, 1:])
-
-
-def _bad_line(path: str | Path) -> int:
-    """The first line of a trajectory CSV past its header that np.loadtxt
-    rejects on its own or whose column count is not the first row's."""
-    width = 0
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # a blank line
-        fh.readline()
-        for number, line in enumerate(fh, start=2):
-            try:
-                size = np.loadtxt([line], delimiter=",").size  # of one row, 0 for a blank line
-            except ValueError:
-                return number
-            if size and size != (width := width or size):
-                return number
 
 
 def _in_shares(blocks: int, work, take) -> None:
@@ -617,20 +628,6 @@ class _Jumps:
         return path[:rows].transpose(1, 0, 2) @ p.C.T + p.Dmat @ p.levels[v], path[-1]
 
 
-def _to_modes(modal: ModalFactor, X: np.ndarray) -> np.ndarray:
-    """T^{-1} X of the n x m array X as (nagents, b, m): row (k, s) is
-    state s of mode k, the agents' states in `order`."""
-    nu = modal.inverse.shape[0]
-    return (modal.inverse @ X[modal.order].reshape(nu, -1)).reshape(nu, -1, X.shape[1])
-
-
-def _mode_blocks(modal: ModalFactor, Z: np.ndarray) -> np.ndarray:
-    """The mode-k blocks of Z T, of the rows Z[k] of mode k of the
-    (nagents, p, n) array Z, as (nagents, p, b)."""
-    nu, p = Z.shape[:2]
-    return np.einsum("kpit,ik->kpt", Z[:, :, modal.order].reshape(nu, p, nu, -1), modal.transform)
-
-
 def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool:
     """Fills y with the outputs of the run, integrated mode by mode, and
     returns True; returns False at the first block whose states cannot
@@ -651,12 +648,12 @@ def _integrate_modes(prep: _Prepared, modal: ModalFactor, y: np.ndarray) -> bool
     bounded by |M| G (|z_s| + sum_i max_k |f_(2^i),k|) (infinity norms,
     G = prod_i max(1, max_k |Phi_k^(2^i)|)).
     """
-    A = _mode_blocks(modal, _to_modes(modal, prep.A))
-    c = _mode_blocks(modal, (modal.inverse @ prep.C)[:, None])[:, 0]
-    z = _to_modes(modal, prep.x0[:, None])[:, :, 0]
+    A = modal.mode_blocks(modal.to_modes(prep.A))
+    c = modal.mode_blocks((modal.inverse @ prep.C)[:, None])[:, 0]
+    z = modal.to_modes(prep.x0[:, None])[:, :, 0]
     u = prep.levels
     phi, gamma, _ = rk4_transition(A, prep.dt)
-    g = gamma @ _to_modes(modal, prep.B @ u.T)  # (mode, state, level)
+    g = gamma @ modal.to_modes(prep.B @ u.T)  # (mode, state, level)
     nu, b, nl = g.shape
     bits = _CHUNK.bit_length()  # Phi^(2^i) and f_(2^i), i < bits, make any block
     powers = np.empty((bits, nu, b, b))

@@ -1,9 +1,12 @@
 """Module boundaries: no agreelab module reaches into another's private names,
-and every name a module lists in __all__ exists and has a caller."""
+every name a module lists in __all__ exists and has a caller, and every
+source parses as the oldest supported Python."""
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import agreelab
 
@@ -136,3 +139,20 @@ def test_guard_sees_unresolved_imports():
     assert found == ["agreelab.sim", "agreelab._kernels", "agreelab._gone", "agreelab.sim.nothing"]
     assert [resolves(n) for n in found] == [True, True, False, False]
     assert agreelab_imports("from . import sim\nimport numpy") == []
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python is 3.10: syntax of a later Python would break there
+    paths = [path for top in ("src/agreelab", "tests", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))]
+    failed = {}
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as err:
+            failed[str(path.relative_to(ROOT))] = str(err)
+    assert len(paths) > 20 and failed == {}
+
+
+def test_guard_sees_later_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

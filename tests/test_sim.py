@@ -189,6 +189,25 @@ class TestSignalSpec:
         with pytest.raises(ValueError):
             SignalSpec.white_noise(-1.0)
 
+    @pytest.mark.parametrize("spec, message", [
+        (lambda: SignalSpec.step(1.0, onset=np.nan), "onset must be nonnegative"),
+        (lambda: SignalSpec.white_noise(0.1, onset=np.nan), "onset must be nonnegative"),
+        (lambda: SignalSpec.step(np.nan), "must be finite"),
+        (lambda: SignalSpec.step(np.inf), "must be finite"),
+        (lambda: SignalSpec.step(-np.inf, onset=1.0), "must be finite"),
+        (lambda: SignalSpec.white_noise(np.nan), "must be finite"),
+        (lambda: SignalSpec.white_noise(np.inf), "must be finite"),
+    ], ids=["nan-step-onset", "nan-noise-onset", "nan-amplitude", "inf-amplitude",
+            "minus-inf-amplitude", "nan-intensity", "inf-intensity"])
+    def test_non_finite_values_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            spec()
+
+    def test_infinite_onset_never_acts(self):
+        loop = scalar_loop(-1.0)
+        late = integrate(loop, SignalSpec.step(1.0, onset=np.inf), ZERO, [1.0], 0.01, 1.0)
+        assert np.array_equal(late.outputs, integrate(loop, ZERO, ZERO, [1.0], 0.01, 1.0).outputs)
+
     def test_kinds(self):
         assert SignalSpec.zero().kind == "zero"
         assert SignalSpec.step(2.0, 5.0).amplitude == 2.0
@@ -915,7 +934,8 @@ class TestTrajectoryCsv:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("body", ["t,y1\r\n", "t,y1\r\n0,1\r\n"], ids=["header-only", "one-row"])
+    @pytest.mark.parametrize("body", ["t,y1\r\n", "t,y1\r\n0,1\r\n", "t,y1,y2\r\n", "t,y1,y2\r\n\r\n# no rows\r\n"],
+                             ids=["header-only", "one-row", "wide-header-only", "blank-and-comment"])
     def test_too_few_rows_rejected_without_warning(self, tmp_path, body):
         path = tmp_path / "short.csv"
         path.write_bytes(body.encode())
@@ -923,6 +943,75 @@ class TestTrajectoryCsv:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="at least two grid points"):
                 Trajectory.read_csv(path)
+
+    @pytest.mark.parametrize("body, values, fields", [
+        ("t,y1,y2,y3\r\n0,1\r\n1,2\r\n", 2, 4),
+        ("t,y1\r\n0,1,2,3\r\n1,2,3,4\r\n", 4, 2),
+    ], ids=["rows-narrower", "rows-wider"])
+    def test_header_width_must_match_the_rows(self, tmp_path, body, values, fields):
+        path = tmp_path / "header.csv"
+        path.write_bytes(body.encode())
+        with pytest.raises(ValueError) as err:
+            Trajectory.read_csv(path)
+        assert str(err.value) == f"{path}: rows of {values} values under a header of {fields} fields"
+
+    def test_header_width_checked_in_every_share(self, tmp_path, shares):
+        path = tmp_path / "header.csv"
+        path.write_bytes(b"t,y1,y2,y3\r\n" + b"0,1,2\r\n" * (3 * _CSV_ROWS))
+        with pytest.raises(ValueError) as err:
+            Trajectory.read_csv(path)
+        assert str(err.value) == f"{path}: rows of 3 values under a header of 4 fields"
+        assert shares["forks"] == 2
+
+    @pytest.mark.parametrize("bad, line", [(b"0.5,x\n", 7), (b"0.5,1,2\n", 7), (b"0.5\n", 7)],
+                             ids=["value", "wider", "narrower"])
+    def test_line_count_includes_blank_and_comment_lines(self, tmp_path, bad, line):
+        path = tmp_path / "commented.csv"
+        path.write_bytes(b"t,y1\n\n# a comment\n0,1\n\n# another\n" + bad + b"1,2\n")
+        with pytest.raises(ValueError) as err:
+            Trajectory.read_csv(path)
+        assert str(err.value) == f"{path}, line {line}: not a row of numbers as wide as the first"
+
+    def test_width_change_at_a_block_boundary(self, tmp_path, monkeypatch):
+        """The second block of the one share parses alone, a column short
+        of the first: its first row is the bad line."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        path = tmp_path / "columns.csv"
+        path.write_bytes(b"t,y1,y2,y3\r\n" + b"0,1,2,3\r\n" * _CSV_ROWS + b"0,1,2\r\n" * 10)
+        with pytest.raises(ValueError) as err:
+            Trajectory.read_csv(path)
+        assert str(err.value) == f"{path}, line {_CSV_ROWS + 2}: not a row of numbers as wide as the first"
+
+    def test_bad_value_in_first_share(self, tmp_path, shares):
+        path = tmp_path / "bad.csv"
+        self.special_rows(3 * _CSV_ROWS).write_csv(path)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[100] = b"9.9,1,x,3"  # data row 100
+        path.write_bytes(b"\r\n".join(lines))
+        forks = shares["forks"]
+        with pytest.raises(ValueError) as err:
+            Trajectory.read_csv(path)
+        assert str(err.value) == f"{path}, line 101: not a row of numbers as wide as the first"
+        # the pipes close before the children finish, so their statuses are not fixed
+        assert shares["forks"] - forks == 2 and len(shares["statuses"]) == 4
+
+    def test_bad_last_row_parses_at_most_one_block_line_by_line(self, tmp_path, shares, monkeypatch):
+        path = tmp_path / "bad.csv"
+        self.special_rows(3 * _CSV_ROWS).write_csv(path)
+        self.spoil_last_row(path)
+        loadtxt, calls = np.loadtxt, []
+
+        def counted_loadtxt(lines, *args, **kwargs):
+            lines = list(lines)
+            calls.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        with pytest.raises(ValueError, match=f"line {3 * _CSV_ROWS + 1}: not a row of numbers"):
+            Trajectory.read_csv(path)
+        # the line-by-line scan: the one-line parses after the last block of the redo
+        scan = len(calls) - 1 - max(k for k, n in enumerate(calls) if n > 1)
+        assert 0 < scan <= _CSV_ROWS and max(calls) <= _CSV_ROWS
 
 
 class TestKernelBackends:
