@@ -58,11 +58,12 @@ block of _CSV_ROWS rows; the calling process handles the first share
 and a forked child each later one, whose bytes come back through a
 pipe.  The files and the arrays read back are those of a serial run,
 byte for byte and bit for bit.  With one usable CPU, one block or no
-os.fork the same code runs with no child.  Each share is parsed
-_CSV_ROWS lines at a time, and only a block that fails is parsed again,
-line by line: a bad file raises a ValueError naming its first bad line,
-after the share pass and a one-share redo that stops at the first bad
-block.  BENCH_parallel_csv.json has the timings against one process.
+os.fork the same code runs with no child.  A trajectory file is a
+regular file, which a redo starts over.  A row holds one number per
+header field: the first that does not raises "<path>, line N: not a
+row of numbers as wide as the header", after the share pass and, past
+share 0, a redo.  BENCH_parallel_csv.json has the timings against one
+process.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Outputs on a uniform time grid of at least two points."""
+    """Outputs, at least one, on a uniform grid times[k] = k dt of at least two points."""
 
     times: np.ndarray
     outputs: np.ndarray
@@ -180,6 +181,20 @@ class Trajectory:
             raise ValueError("times and outputs are inconsistent")
         if t.size < 2:
             raise ValueError("trajectory needs at least two grid points")
+        if y.shape[1] == 0:
+            raise ValueError("trajectory needs at least one output")
+        dt = t[1] - t[0]
+        if not 0 < dt < np.inf:
+            raise ValueError("trajectory times are not a uniform grid from 0")
+        # |t_k - k dt| <= 1e-9 max(1, k dt), index_at's rule, in one temporary: absolute below 1, relative above
+        off = np.arange(t.size, dtype=float)
+        off *= dt
+        one = int(np.searchsorted(off, 1.0))
+        np.subtract(t[:one], off[:one], out=off[:one])
+        np.divide(t[one:], off[one:], out=off[one:])
+        off[one:] -= 1.0
+        if not np.abs(off, out=off).max() <= 1e-9:
+            raise ValueError("trajectory times are not a uniform grid from 0")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "outputs", y)
 
@@ -198,9 +213,9 @@ class Trajectory:
         return k
 
     def write_csv(self, path: str | Path) -> None:
-        """CRLF rows of every value as %.17g, which reads back bit for bit;
-        one % operation formats a block of _CSV_ROWS rows, and the
-        `_in_shares` processes take contiguous runs of the blocks."""
+        """CRLF rows of every value as %.17g, which reads back bit for bit,
+        to a regular file that share 0, a redo's too, starts over; one %
+        operation formats a block of _CSV_ROWS rows, a share a run of them."""
         header = ",".join(["t"] + [f"y{i + 1}" for i in range(self.nagents)]) + "\r\n"
         row = ",".join(["%.17g"] * (self.nagents + 1)) + "\r\n"
         blocks = -(-self.times.size // _CSV_ROWS)
@@ -211,15 +226,10 @@ class Trajectory:
                 yield (row * block.shape[0] % tuple(block.ravel().tolist())).encode()
 
         with Path(path).open("wb") as fh:
-            redo = False  # a redo starts the file over; the first run never seeks, so a pipe works
-
             def put(j, chunks):
-                nonlocal redo
-                if j == 0:
-                    if redo:
-                        fh.seek(0)
-                        fh.truncate()
-                    redo = True
+                if j == 0:  # a redo starts over
+                    fh.seek(0)
+                    fh.truncate()
                     fh.write(header.encode())
                 fh.writelines(chunks)
 
@@ -227,14 +237,13 @@ class Trajectory:
 
     @staticmethod
     def read_csv(path: str | Path) -> "Trajectory":
-        """A trajectory CSV, CRLF or LF line ends, from a seekable file.
+        """A trajectory CSV, CRLF or LF line ends, from a regular file.
         The body is cut at line ends into one byte range per `_in_shares`
         share, each parsed by np.loadtxt from its own handle _CSV_ROWS
-        lines at a time.  A block that fails, or whose rows are not as
-        wide as the share's first, is scanned line by line, and the
-        ValueError names the file and the first bad line, counted from
-        the header: exact in share 0, which the redo of a failed job is.
-        Rows as wide as each other but not as the header raise too."""
+        lines at a time.  A block that is not all rows of one number per
+        header field is parsed line by line: its first bad line raises
+        "<path>, line N: not a row of numbers as wide as the header", N
+        from the header as line 1, exact in share 0, which a redo runs."""
         with Path(path).open("rb") as fh:
             header = fh.readline().split(b",")
             if header[0].strip() != b"t":
@@ -265,49 +274,39 @@ class Trajectory:
                 yield from chunk.splitlines(keepends=True)
 
         def parse(lines):
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
-                return np.loadtxt(lines, delimiter=",", ndmin=2)
+            """The rows of lines; None if one is not numbers as wide as the header."""
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
+                    data = np.loadtxt(lines, delimiter=",", ndmin=2)
+            except ValueError:
+                return None
+            return data if data.shape[1] == len(header) or not data.size else None
 
         def rows(j, count):
-            """The bytes of share j's rows, block by block, then their
-            width: the header's if the share holds no row."""
-            width, number = 0, 2  # line 1 is the header
+            """The bytes of share j's rows, block by block."""
+            number = 2  # line 1 is the header
             with open(path, "rb") as fh:
                 lo, hi = cut(fh, j, count), cut(fh, j + 1, count)
                 fh.seek(lo)
                 lines = body(fh, hi - lo)
                 while block := list(islice(lines, _CSV_ROWS)):
-                    try:
-                        data = parse(block)
-                    except ValueError:
-                        data = None
-                    if data is None or data.size and data.shape[1] != (width := width or data.shape[1]):
-                        for k, line in enumerate(block):
-                            try:
-                                size = parse([line]).size  # 0 for a blank line
-                                if size and size != (width := width or size):
-                                    raise ValueError
-                            except ValueError:
-                                raise ValueError(f"{path}, line {number + k}: not a row of numbers as wide as the first") from None
+                    if (data := parse(block)) is None:  # and so is one of its lines
+                        bad = next(k for k, line in enumerate(block) if parse([line]) is None)
+                        raise ValueError(f"{path}, line {number + bad}: not a row of numbers as wide as the header")
                     yield data.tobytes()
                     number += len(block)
-            yield (width or len(header)).to_bytes(8, "little")
 
         parts = []
 
         def take(j, chunks):
             if j == 0:  # a redo starts over
                 parts.clear()
-            blob = b"".join(chunks)
-            part = np.frombuffer(blob, count=len(blob) // 8 - 1).reshape(-1, int.from_bytes(blob[-8:], "little"))
-            # where the shares' widths differ one fails here, and the one-share redo names the line
-            if part.size and part.shape[1] != len(header):
-                raise ValueError(f"{path}: rows of {part.shape[1]} values under a header of {len(header)} fields")
-            parts.append(part)
+            parts.extend(chunks)
 
         _in_shares(-(-max(lines, 1) // _CSV_ROWS), rows, take)
-        data = np.concatenate(parts)
+        # formed only now, when a child cut short has been redone; a bytearray keeps the arrays writable
+        data = np.frombuffer(bytearray().join(parts)).reshape(-1, len(header))
         return Trajectory(times=data[:, 0], outputs=data[:, 1:])
 
 
@@ -326,11 +325,11 @@ def _in_shares(blocks: int, work, take) -> None:
     finalize one.  Python >= 3.12 warns (DeprecationWarning) on a fork of
     a multi-threaded process; the warning is ignored around the fork
     alone.  The parent closes every read end before it reaps the
-    children, so none is left running or blocked on a full pipe.  If a
-    child fails, or anything else does while there is more than one
-    share, the job is redone in-process as one share, which raises the
-    error of a serial run.  Without os.fork or os.sched_getaffinity the
-    job is one share.
+    children, so none is left running or blocked on a full pipe.  After
+    a failed child or an OSError, with more than one share, the job is
+    redone in-process as one share, take(0, ...) starting it over; a
+    ValueError of share 0, the error of a serial run, is raised as it is.
+    Without os.fork or os.sched_getaffinity the job is one share.
     """
     count = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -364,7 +363,7 @@ def _in_shares(blocks: int, work, take) -> None:
         for j, r in enumerate(pipes, start=1):
             with open(r, "rb", closefd=False) as pipe:
                 take(j, iter(lambda: pipe.read(1 << 16), b""))
-    except (OSError, ValueError):
+    except OSError:
         if count == 1:
             raise
         failed = True

@@ -2,6 +2,7 @@ import functools
 import json
 import pickle
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -292,18 +293,30 @@ class TestCheckCommand:
         assert main(["check", path]) == 1
         assert "twodof" in capsys.readouterr().err
 
-    def test_improper_local_controller_rejected_by_check_and_simulate(self, tmp_path, capsys):
-        # agent 3's controller -(s^2 + s + 1)/(s + 1) cannot be realized:
-        # check must not certify a network that simulate cannot build
-        cfg = base_config("twodof")
-        improper = {**cfg["agents"], "controller": {"num": [-1.0, -1.0, -1.0], "den": [1.0, 1.0]}}
-        cfg["agents"] = [cfg["agents"]] * 2 + [improper] + [cfg["agents"]] * 2
+    def assert_rejected_by_check_and_simulate(self, tmp_path, capsys, cfg, message):
+        """check must not certify a network that simulate cannot build."""
         path = write_config(tmp_path, cfg)
         for argv in (["check", path], ["simulate", path, "--out", str(tmp_path / "out")]):
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert "agreement PASS" not in captured.out
-            assert "agent 3: local controller unrealizable (improper Fd)" in captured.err
+            assert message in captured.err
+
+    def test_improper_local_controller_rejected_by_check_and_simulate(self, tmp_path, capsys):
+        # agent 3's controller -(s^2 + s + 1)/(s + 1) cannot be realized
+        cfg = base_config("twodof")
+        improper = {**cfg["agents"], "controller": {"num": [-1.0, -1.0, -1.0], "den": [1.0, 1.0]}}
+        cfg["agents"] = [cfg["agents"]] * 2 + [improper] + [cfg["agents"]] * 2
+        self.assert_rejected_by_check_and_simulate(
+            tmp_path, capsys, cfg, "agent 3: local controller unrealizable (improper Fd)")
+
+    def test_improper_feedforward_rejected_by_check_and_simulate(self, tmp_path, capsys):
+        # the biproper network filter (1 + s)/(2 + s) leaves (P^-1 - Fd) Fa
+        # the improper s of the integrator's inverse
+        cfg = json.loads((resources.files("agreelab") / "data" / "dist.json").read_text())["twodof"]
+        cfg["protocol"]["network_filter"] = {"num": [1.0, 1.0], "den": [2.0, 1.0]}
+        self.assert_rejected_by_check_and_simulate(
+            tmp_path, capsys, cfg, "agent 1: consistency condition unrealizable (improper feedforward)")
 
 
 class TestSimulateCommand:

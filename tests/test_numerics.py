@@ -181,6 +181,13 @@ class TestRouthHurwitz:
         with pytest.raises(ValueError):
             routh_hurwitz_stable(poly(1.0))
 
+    @pytest.mark.parametrize("ascending", [(10.0, 11.0, 4.0, 2.0, 2.0, 1.0), (3.0, 2.0, 2.0, 1.0, 1.0)])
+    def test_vanishing_pivot_agrees_with_root_signs(self, ascending):
+        # a first-column pivot vanishes and the table goes on by epsilon
+        # substitution; oracle: stable iff every root has Re < 0
+        p = poly(*ascending)
+        assert routh_hurwitz_stable(p) == bool(np.all(poly_roots(p).real < 0))
+
     def test_agrees_with_root_signs(self):
         # oracle: sign of max real part of the exact root set
         rng = np.random.default_rng(17)

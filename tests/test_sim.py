@@ -1,6 +1,7 @@
 import csv
 import os
 import pickle
+import signal
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -272,6 +273,36 @@ class TestDeterministicIntegration:
         loop = consensus_loop()
         traj = integrate(loop, ZERO, ZERO, np.zeros(5), 1e-3, 2.0)
         assert np.max(np.abs(traj.outputs)) == 0.0
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Trajectory(times=[0.0, 1.0, 2.0], outputs=np.zeros((2, 1))),
+         ValueError, "times and outputs are inconsistent"),
+        (lambda: integrate(scalar_loop(-1.0), [ZERO, ZERO], ZERO, [1.0], 1e-2, 1.0),
+         ValueError, "disturbance needs 1 channel specs, got 2"),
+        (lambda: integrate(scalar_loop(-1.0).dynamics, ZERO, ZERO, [1.0], 1e-2, 1.0),
+         TypeError, "expected a ClosedLoop"),
+        (lambda: integrate(scalar_loop(-1.0), SignalSpec.white_noise(1.0), ZERO, [1.0], 1e-2, 1.0),
+         ValueError, "white noise is only supported on the noise channels"),
+        (lambda: integrate(scalar_loop(-1.0), ZERO, ZERO, [1.0], 1e-2, 4e-3),
+         ValueError, "horizon too short for the step size"),
+        (lambda: run_ensemble(feedthrough_loop(), ZERO, SignalSpec.white_noise(1.0), np.zeros(3), 1e-2, 1.0,
+                              seed=0, realizations=2, projection=np.ones(3)),
+         ValueError, "white-noise channel with direct feedthrough is not simulable"),
+        (lambda: integrate(scalar_loop(-1.0), ZERO, ZERO, [1.0, 2.0], 1e-2, 1.0),
+         ValueError, "y0 needs 1 entries"),
+        (lambda: run_ensemble(scalar_loop(-1.0), ZERO, SignalSpec.white_noise(1.0), [1.0], 1e-2, 1.0,
+                              seed=0, realizations=0, projection=[1.0]),
+         ValueError, "need at least one realization"),
+        (lambda: run_ensemble(scalar_loop(-1.0), ZERO, SignalSpec.white_noise(1.0), [1.0], 1e-2, 1.0,
+                              seed=0, realizations=2, projection=[1.0, 1.0]),
+         ValueError, "projection length must equal the agent count"),
+    ], ids=["times-outputs", "channel-count", "not-a-loop", "noise-on-disturbance", "horizon-too-short",
+            "noise-feedthrough", "y0-length", "no-realization", "projection-length"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestStochasticIntegration:
@@ -720,6 +751,30 @@ class TestMetrics:
         with pytest.raises(ValueError, match="grid"):
             traj.index_at(3.0)
 
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 0.7], [1.0, 0.0], [0.0, 0.0], [0.5, 1.0, 1.5], [0.0, np.nan],
+                                       [0.0, np.inf], [0.0, 1.0, np.nan]],
+                             ids=["not-uniform", "descending", "zero-step", "not-from-0", "nan-step", "inf-step",
+                                  "nan-time"])
+    def test_times_must_be_a_uniform_grid_from_0(self, times):
+        with pytest.raises(ValueError, match="trajectory times are not a uniform grid from 0"):
+            Trajectory(times=times, outputs=np.zeros((len(times), 1)))
+
+    @pytest.mark.parametrize("k, slack", [(2, 1e-9), (8, 2e-9)], ids=["below-1", "above-1"])
+    def test_grid_tolerance_is_that_of_index_at(self, k, slack):
+        """A time within 1e-9 max(1, k dt) of k dt is on the grid, and
+        index_at finds it; one a little further off is refused."""
+        bump = np.zeros(9)
+        bump[k] = 0.9 * slack
+        traj = Trajectory(times=np.arange(9) * 0.25 + bump, outputs=np.zeros((9, 1)))
+        assert traj.index_at(k * 0.25) == k
+        bump[k] = 1.1 * slack
+        with pytest.raises(ValueError, match="not a uniform grid from 0"):
+            Trajectory(times=np.arange(9) * 0.25 + bump, outputs=np.zeros((9, 1)))
+
+    def test_no_output_rejected(self):
+        with pytest.raises(ValueError, match="trajectory needs at least one output"):
+            Trajectory(times=[0.0, 1.0], outputs=np.zeros((2, 0)))
+
     def test_drift_slope_requires_30(self):
         loop = scalar_loop(0.0)
         stats = run_ensemble(
@@ -833,6 +888,19 @@ class TestTrajectoryCsv:
         monkeypatch.setattr(os, "waitpid", recorded_waitpid)
         return record
 
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        """The line count of each np.loadtxt call of this process."""
+        loadtxt, calls = np.loadtxt, []
+
+        def counted_loadtxt(lines, *args, **kwargs):
+            lines = list(lines)
+            calls.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        return calls
+
     def special_rows(self, rows):
         outputs = np.resize(self.SPECIAL, (rows, 3))
         return Trajectory(times=np.arange(rows) * 0.1, outputs=outputs)
@@ -868,13 +936,14 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError) as err:
             Trajectory.read_csv(path)
         # the last data row is the file's line 3 _CSV_ROWS + 1
-        assert str(err.value) == f"{path}, line {3 * _CSV_ROWS + 1}: not a row of numbers as wide as the first"
+        assert str(err.value) == f"{path}, line {3 * _CSV_ROWS + 1}: not a row of numbers as wide as the header"
         assert shares["forks"] == 4 and shares["statuses"] == [0, 0, 0, 256]  # the last child exits 1
 
     def test_column_change_between_shares_raises_serial_message(self, tmp_path, shares, monkeypatch):
         """Lines of one width, so the cut, at the first line end past the
         middle of the body, leaves every row of the second share a column
-        short: each share parses alone, and only the whole body fails."""
+        short of the header: the child fails at its first row, and the
+        one-share redo names that row's line of the file."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         n = 2 * _CSV_ROWS + 2
         rows = [b"0,1,2,3\r\n"] * (n // 2 + 1) + [b"0,1,234\r\n"] * (n // 2 - 1)
@@ -883,8 +952,8 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError) as err:
             Trajectory.read_csv(path)
         # data row n // 2 + 2, line n // 2 + 3 of the file, is the first short one
-        assert str(err.value) == f"{path}, line {n // 2 + 3}: not a row of numbers as wide as the first"
-        assert shares["forks"] == 1 and shares["statuses"] == [0]
+        assert str(err.value) == f"{path}, line {n // 2 + 3}: not a row of numbers as wide as the header"
+        assert shares["forks"] == 1 and shares["statuses"] == [256]  # the child exits 1
 
     def test_failed_child_is_redone_in_process(self, tmp_path, shares, monkeypatch):
         traj = self.special_rows(3 * _CSV_ROWS + 1)
@@ -898,6 +967,43 @@ class TestTrajectoryCsv:
         back = Trajectory.read_csv(path)
         assert np.array_equal(back.outputs, traj.outputs)
         assert np.array_equal(np.signbit(back.outputs), np.signbit(traj.outputs))
+
+    def test_children_cut_short_are_redone_in_process(self, tmp_path, shares, monkeypatch):
+        """Each child is killed halfway through writing its bytes into the
+        pipe: the share the parent gets is cut short, mid-value, and the
+        one-share redo replaces it, in the file written and the rows read."""
+        traj = self.special_rows(3 * _CSV_ROWS)
+        ref = tmp_path / "ref.csv"
+        traj.write_csv(ref)
+        parent = os.getpid()
+
+        class CutShort:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2 + 3])
+                self.fh.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def cut_short_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            return CutShort(fh) if mode == "wb" and os.getpid() != parent else fh
+
+        monkeypatch.setattr(sim, "open", cut_short_open, raising=False)
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == ref.read_bytes()
+        back = Trajectory.read_csv(path)
+        assert np.array_equal(back.outputs, traj.outputs)
+        assert np.array_equal(np.signbit(back.outputs), np.signbit(traj.outputs))
+        assert shares["statuses"] == [0, 0] + [signal.SIGKILL] * 4
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["one-cpu", "fork-fails"])
     def test_no_fork_gives_the_same_bytes(self, tmp_path, shares, monkeypatch, cpus):
@@ -944,23 +1050,34 @@ class TestTrajectoryCsv:
             with pytest.raises(ValueError, match="at least two grid points"):
                 Trajectory.read_csv(path)
 
-    @pytest.mark.parametrize("body, values, fields", [
-        ("t,y1,y2,y3\r\n0,1\r\n1,2\r\n", 2, 4),
-        ("t,y1\r\n0,1,2,3\r\n1,2,3,4\r\n", 4, 2),
-    ], ids=["rows-narrower", "rows-wider"])
-    def test_header_width_must_match_the_rows(self, tmp_path, body, values, fields):
+    @pytest.mark.parametrize("times", ["0,0.5,0.7", "1,0", "0,0"], ids=["not-uniform", "descending", "zero-step"])
+    def test_times_off_a_uniform_grid_from_0_rejected(self, tmp_path, times):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"t,y1\r\n" + b"".join(b"%s,1\r\n" % t.encode() for t in times.split(",")))
+        with pytest.raises(ValueError, match="trajectory times are not a uniform grid from 0"):
+            Trajectory.read_csv(path)
+
+    def test_time_column_alone_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"t\r\n0\r\n1\r\n")
+        with pytest.raises(ValueError, match="trajectory needs at least one output"):
+            Trajectory.read_csv(path)
+
+    @pytest.mark.parametrize("body", ["t,y1,y2,y3\r\n0,1\r\n1,2\r\n", "t,y1\r\n0,1,2,3\r\n1,2,3,4\r\n"],
+                             ids=["rows-narrower", "rows-wider"])
+    def test_header_width_must_match_the_rows(self, tmp_path, body):
         path = tmp_path / "header.csv"
         path.write_bytes(body.encode())
         with pytest.raises(ValueError) as err:
             Trajectory.read_csv(path)
-        assert str(err.value) == f"{path}: rows of {values} values under a header of {fields} fields"
+        assert str(err.value) == f"{path}, line 2: not a row of numbers as wide as the header"
 
     def test_header_width_checked_in_every_share(self, tmp_path, shares):
         path = tmp_path / "header.csv"
         path.write_bytes(b"t,y1,y2,y3\r\n" + b"0,1,2\r\n" * (3 * _CSV_ROWS))
         with pytest.raises(ValueError) as err:
             Trajectory.read_csv(path)
-        assert str(err.value) == f"{path}: rows of 3 values under a header of 4 fields"
+        assert str(err.value) == f"{path}, line 2: not a row of numbers as wide as the header"
         assert shares["forks"] == 2
 
     @pytest.mark.parametrize("bad, line", [(b"0.5,x\n", 7), (b"0.5,1,2\n", 7), (b"0.5\n", 7)],
@@ -970,19 +1087,19 @@ class TestTrajectoryCsv:
         path.write_bytes(b"t,y1\n\n# a comment\n0,1\n\n# another\n" + bad + b"1,2\n")
         with pytest.raises(ValueError) as err:
             Trajectory.read_csv(path)
-        assert str(err.value) == f"{path}, line {line}: not a row of numbers as wide as the first"
+        assert str(err.value) == f"{path}, line {line}: not a row of numbers as wide as the header"
 
     def test_width_change_at_a_block_boundary(self, tmp_path, monkeypatch):
         """The second block of the one share parses alone, a column short
-        of the first: its first row is the bad line."""
+        of the header: its first row is the bad line."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         path = tmp_path / "columns.csv"
         path.write_bytes(b"t,y1,y2,y3\r\n" + b"0,1,2,3\r\n" * _CSV_ROWS + b"0,1,2\r\n" * 10)
         with pytest.raises(ValueError) as err:
             Trajectory.read_csv(path)
-        assert str(err.value) == f"{path}, line {_CSV_ROWS + 2}: not a row of numbers as wide as the first"
+        assert str(err.value) == f"{path}, line {_CSV_ROWS + 2}: not a row of numbers as wide as the header"
 
-    def test_bad_value_in_first_share(self, tmp_path, shares):
+    def test_bad_value_in_first_share(self, tmp_path, shares, loadtxt_calls):
         path = tmp_path / "bad.csv"
         self.special_rows(3 * _CSV_ROWS).write_csv(path)
         lines = path.read_bytes().split(b"\r\n")
@@ -991,27 +1108,21 @@ class TestTrajectoryCsv:
         forks = shares["forks"]
         with pytest.raises(ValueError) as err:
             Trajectory.read_csv(path)
-        assert str(err.value) == f"{path}, line 101: not a row of numbers as wide as the first"
+        assert str(err.value) == f"{path}, line 101: not a row of numbers as wide as the header"
         # the pipes close before the children finish, so their statuses are not fixed
         assert shares["forks"] - forks == 2 and len(shares["statuses"]) == 4
+        # share 0's first block, then its lines up to the bad one: nothing is redone
+        assert loadtxt_calls == [_CSV_ROWS] + [1] * 100
 
-    def test_bad_last_row_parses_at_most_one_block_line_by_line(self, tmp_path, shares, monkeypatch):
+    def test_bad_last_row_parses_at_most_one_block_line_by_line(self, tmp_path, shares, loadtxt_calls):
         path = tmp_path / "bad.csv"
         self.special_rows(3 * _CSV_ROWS).write_csv(path)
         self.spoil_last_row(path)
-        loadtxt, calls = np.loadtxt, []
-
-        def counted_loadtxt(lines, *args, **kwargs):
-            lines = list(lines)
-            calls.append(len(lines))
-            return loadtxt(lines, *args, **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
         with pytest.raises(ValueError, match=f"line {3 * _CSV_ROWS + 1}: not a row of numbers"):
             Trajectory.read_csv(path)
         # the line-by-line scan: the one-line parses after the last block of the redo
-        scan = len(calls) - 1 - max(k for k, n in enumerate(calls) if n > 1)
-        assert 0 < scan <= _CSV_ROWS and max(calls) <= _CSV_ROWS
+        scan = len(loadtxt_calls) - 1 - max(k for k, n in enumerate(loadtxt_calls) if n > 1)
+        assert 0 < scan <= _CSV_ROWS and max(loadtxt_calls) <= _CSV_ROWS
 
 
 class TestKernelBackends:
